@@ -31,6 +31,7 @@ __all__ = [
     "ProductVectorFamily",
     "entries",
     "get",
+    "operator_and_name",
     "range_families",
     "reference_states",
     "rho_5_5",
@@ -130,6 +131,13 @@ class CatalogEntry:
         src = self.exact.entries
         out = [[src[i * d + l][j * d + k] for j in range(d) for l in range(d)] for i in range(d) for k in range(d)]
         return RationalMatrix.from_rows(out)
+
+
+def operator_and_name(
+    state: BipartiteOperator | CatalogEntry, default: str = "custom"
+) -> tuple[BipartiteOperator, str]:
+    """The operator of a state and its catalog name, or ``default`` for a bare operator."""
+    return (state.state, state.name) if isinstance(state, CatalogEntry) else (state, default)
 
 
 def _basis_arrays(rows: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:

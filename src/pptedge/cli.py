@@ -117,15 +117,12 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 def _spectral_rank(matrix, rel_tol: float) -> int:
     """Rank by eigenvalue magnitude; tolerates indefinite matrices (non-PPT partial transposes)."""
-    try:
-        return linalg.numeric_rank(matrix, rel_tol)
-    except NotPSDError:
-        w = np.abs(np.linalg.eigvalsh(matrix))
-        return int(np.sum(w > rel_tol * w.max()))
+    w = np.abs(np.linalg.eigvalsh(matrix))
+    return int(np.sum(w > rel_tol * w.max()))
 
 
 def _rank_block(state, args: argparse.Namespace) -> dict:
-    op = state.state if isinstance(state, catalog.CatalogEntry) else state
+    op, _ = catalog.operator_and_name(state)
     block = {
         "rank": _spectral_rank(op.matrix, args.tol_eig),
         "pt_rank": _spectral_rank(partial_transpose(op).matrix, args.tol_eig),
@@ -146,7 +143,7 @@ def _witness_summary(w: witness_mod.Witness, state, cfg: SeeSawConfig) -> dict:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     state = _load_state(args.input, args.tol_pos)
-    name = state.name if isinstance(state, catalog.CatalogEntry) else args.input
+    _, name = catalog.operator_and_name(state, args.input)
     cfg = _config(args)
     ppt = criteria.is_ppt(state, args.tol_pos)
     report = {
@@ -165,10 +162,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _emit(args, dumps_canonical(report))
         return EXIT_OK
 
-    report["edge"] = criteria.certify_edge(state, cfg, rel_tol=args.tol_eig, ppt_tol=args.tol_pos).to_dict()
+    edge = criteria.certify_edge(state, cfg, rel_tol=args.tol_eig, ppt_tol=args.tol_pos)
+    report["edge"] = edge.to_dict()
     summaries = {}
     try:
-        w1 = witness_mod.kernel_witness(state, cfg, rel_tol=args.tol_eig)
+        w1 = witness_mod.kernel_witness(state, cfg, rel_tol=args.tol_eig, edge=edge)
         summaries["kernel"] = _witness_summary(w1, state, cfg)
     except NotApplicableError as exc:
         w1 = None
@@ -192,7 +190,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     state = _load_state(args.input, args.tol_pos)
     cfg = _config(args)
     if args.method == "kernel":
-        w = witness_mod.kernel_witness(state, cfg, rel_tol=args.tol_eig)
+        w = witness_mod.kernel_witness(state, cfg, rel_tol=args.tol_eig, ppt_tol=args.tol_pos)
     else:
         w = witness_mod.realignment_witness(state)
     if args.shift is not None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .bipartite import BipartiteOperator, ProductVector, partial_transpose, realign
-from .catalog import CatalogEntry
+from .catalog import CatalogEntry, operator_and_name
 from .exceptions import NotApplicableError
 from .optimize import OptResult, QuadraticTerm, SeeSawConfig, min_generic_quadratic
 
@@ -27,6 +27,7 @@ __all__ = [
     "certify_edge",
     "edge_objective",
     "is_ppt",
+    "ppt_range_projectors",
     "range_membership",
     "realignment_criterion",
 ]
@@ -59,7 +60,9 @@ class EdgeCertificate:
     """Heuristic edge certification record.
 
     ``minimum`` is the smallest edge objective found over all restarts; it
-    equals ``residual_range**2 + residual_pt_range**2`` at ``argmin``. The
+    equals ``residual_range**2 + residual_pt_range**2`` at ``argmin``.
+    ``projectors`` holds the range projectors of the state and of its
+    partial transpose that define the objective. The
     verdict carries an explicit inconclusive band between the zero threshold
     and the positive threshold so a near-zero heuristic minimum is never
     promoted to an edge claim.
@@ -72,6 +75,7 @@ class EdgeCertificate:
     residual_range: float
     residual_pt_range: float
     opt: OptResult
+    projectors: tuple[np.ndarray, np.ndarray]
 
     def to_dict(self) -> dict:
         return {
@@ -88,14 +92,6 @@ class EdgeCertificate:
         }
 
 
-def _operator(state: BipartiteOperator | CatalogEntry) -> BipartiteOperator:
-    return state.state if isinstance(state, CatalogEntry) else state
-
-
-def _state_name(state: BipartiteOperator | CatalogEntry) -> str:
-    return state.name if isinstance(state, CatalogEntry) else "custom"
-
-
 def range_projectors(
     state: BipartiteOperator | CatalogEntry, rel_tol: float = linalg.DEFAULT_RANK_RTOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +102,7 @@ def range_projectors(
     """
     if isinstance(state, CatalogEntry) and state.range_basis is not None:
         return linalg.span_projector(state.range_basis), linalg.span_projector(state.pt_range_basis)
-    op = _operator(state)
+    op, _ = operator_and_name(state)
     return (
         linalg.range_projector(op.matrix, rel_tol),
         linalg.range_projector(partial_transpose(op).matrix, rel_tol),
@@ -115,7 +111,7 @@ def range_projectors(
 
 def is_ppt(state: BipartiteOperator | CatalogEntry, tol: float = 1e-12) -> CriterionReport:
     """PPT test: passes iff the partial transpose has no eigenvalue below -tol."""
-    op = _operator(state)
+    op, _ = operator_and_name(state)
     evidence = float(np.linalg.eigvalsh(partial_transpose(op).matrix)[0])
     verdict = "pass" if evidence >= -tol else "violated"
     return CriterionReport("ppt", verdict, evidence, tol)
@@ -123,10 +119,20 @@ def is_ppt(state: BipartiteOperator | CatalogEntry, tol: float = 1e-12) -> Crite
 
 def realignment_criterion(state: BipartiteOperator | CatalogEntry) -> CriterionReport:
     """Realignment test: entanglement is flagged when the realigned trace norm exceeds one."""
-    op = _operator(state)
+    op, _ = operator_and_name(state)
     evidence = linalg.trace_norm(realign(op))
     verdict = "violated" if evidence > 1.0 + REALIGNMENT_SLACK else "pass"
     return CriterionReport("realignment", verdict, evidence, REALIGNMENT_SLACK)
+
+
+def ppt_range_projectors(
+    state: BipartiteOperator | CatalogEntry, rel_tol: float = linalg.DEFAULT_RANK_RTOL, ppt_tol: float = 1e-12
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`range_projectors` of a PPT state; a non-PPT state raises :class:`NotApplicableError`."""
+    ppt = is_ppt(state, ppt_tol)
+    if ppt.verdict != "pass":
+        raise NotApplicableError(f"state is not PPT: min partial-transpose eigenvalue {ppt.evidence:.3e}")
+    return range_projectors(state, rel_tol)
 
 
 def edge_objective(state: BipartiteOperator | CatalogEntry, a, b, rel_tol: float = linalg.DEFAULT_RANK_RTOL) -> float:
@@ -158,11 +164,8 @@ def certify_edge(
     "not edge" when some restart reaches (numerical) zero, and "inconclusive"
     in between.
     """
-    op = _operator(state)
-    ppt = is_ppt(op, ppt_tol)
-    if ppt.verdict != "pass":
-        raise NotApplicableError(f"edge certification requires a PPT state; min PT eigenvalue {ppt.evidence:.3e}")
-    p_range, p_pt = range_projectors(state, rel_tol)
+    op, name = operator_and_name(state)
+    p_range, p_pt = ppt_range_projectors(state, rel_tol, ppt_tol)
     eye = np.eye(op.dim, dtype=complex)
     terms = [QuadraticTerm(eye - p_range, False), QuadraticTerm(eye - p_pt, True)]
     result = min_generic_quadratic(terms, cfg, dims=(op.dim_a, op.dim_b))
@@ -177,13 +180,14 @@ def certify_edge(
     else:
         verdict = "inconclusive"
     return EdgeCertificate(
-        state=_state_name(state),
+        state=name,
         verdict=verdict,
         minimum=minimum,
         argmin=pv,
         residual_range=r1,
         residual_pt_range=r2,
         opt=result,
+        projectors=(p_range, p_pt),
     )
 
 

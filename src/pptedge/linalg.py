@@ -31,6 +31,7 @@ __all__ = [
     "NotPSDError",
     "RationalMatrix",
     "SvdResult",
+    "canonical_eigenbasis",
     "exact_rank",
     "hermitian_eig",
     "is_hermitian",
@@ -74,33 +75,52 @@ def _require_hermitian(m, what: str = "matrix") -> np.ndarray:
     return a
 
 
+def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
+    """Unit phases making each vector's (last axis) first largest-modulus entry real and >= 0; 1 for zero."""
+    piv = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=-1)[..., None], axis=-1)[..., 0]
+    mag = np.abs(piv)
+    return np.where(mag > 0.0, piv.conjugate() / np.where(mag > 0.0, mag, 1.0), 1.0)
+
+
 def phase_fix(v: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first largest-modulus component is real and >= 0."""
+    """Rotate a global phase so the first largest-modulus component is real and >= 0.
+
+    Stacked input is fixed vector by vector along the last axis.
+    """
     v = np.asarray(v, dtype=complex)
-    i = int(np.argmax(np.abs(v)))
-    piv = v[i]
-    mag = abs(piv)
-    if mag == 0.0:
-        return v.copy()
-    return v * (piv.conjugate() / mag)
+    return v * _pivot_phases(v)[..., None]
 
 
-def _lex_key(col: np.ndarray) -> tuple[float, ...]:
-    return tuple(x for c in col for x in (c.real, c.imag))
+def _tie_break_order(values: np.ndarray, vectors: np.ndarray, tol) -> np.ndarray:
+    """Column order sorting each group of (numerically) equal values lexicographically by (re, im) entries.
+
+    A group starts at a value and takes every following value within ``tol``
+    of that start. Stacks (``values`` (..., k), ``vectors`` (..., m, k)) are
+    ordered matrix by matrix, ``tol`` broadcasting against ``values[..., 0]``.
+    """
+    group = np.zeros(values.shape, dtype=int)
+    start = values[..., 0]
+    for j in range(1, values.shape[-1]):
+        new = values[..., j] - start > tol
+        group[..., j] = group[..., j - 1] + new
+        start = np.where(new, values[..., j], start)
+    cols = np.swapaxes(vectors, -1, -2)
+    # np.lexsort takes its primary key last
+    keys = [part[..., i] for i in reversed(range(cols.shape[-1])) for part in (cols.imag, cols.real)]
+    return np.lexsort([*keys, group])
 
 
-def _tie_break_columns(values: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:
-    """Reorder columns inside groups of (numerically) equal values, lexicographically."""
-    order = list(range(len(values)))
-    start = 0
-    while start < len(values):
-        stop = start + 1
-        while stop < len(values) and values[stop] - values[start] <= tol:
-            stop += 1
-        if stop - start > 1:
-            order[start:stop] = sorted(order[start:stop], key=lambda j: _lex_key(vectors[:, j]))
-        start = stop
-    return np.array(order)
+def canonical_eigenbasis(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Put ``np.linalg.eigh`` output into the deterministic convention, matrix by matrix for stacks.
+
+    Each eigenvector is phase-fixed, and eigenvectors of eigenvalues equal
+    within ``HERMITIAN_ATOL`` (scaled by max(1, largest |eigenvalue|)) are
+    ordered lexicographically.
+    """
+    v = np.swapaxes(phase_fix(np.swapaxes(v, -1, -2)), -1, -2)
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    order = _tie_break_order(w, v, HERMITIAN_ATOL * scale)
+    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
 
 
 @dataclass(frozen=True)
@@ -124,14 +144,7 @@ def hermitian_eig(m) -> HermitianEigen:
 
     Raises ValueError for non-square or non-Hermitian input.
     """
-    a = _require_hermitian(m)
-    w, v = np.linalg.eigh(a)
-    v = np.array(v, dtype=complex)
-    for j in range(v.shape[1]):
-        v[:, j] = phase_fix(v[:, j])
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    order = _tie_break_columns(w, v, HERMITIAN_ATOL * scale)
-    return HermitianEigen(values=w[order], vectors=v[:, order])
+    return HermitianEigen(*canonical_eigenbasis(*np.linalg.eigh(_require_hermitian(m))))
 
 
 @dataclass(frozen=True)
@@ -159,17 +172,11 @@ def svd(m) -> SvdResult:
     """Deterministic reduced SVD; defined for every finite matrix."""
     a = _as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    u = np.array(u, dtype=complex)
-    v = np.array(vh.conj().T, dtype=complex)
-    for j in range(s.size):
-        piv = u[np.argmax(np.abs(u[:, j])), j]
-        mag = abs(piv)
-        if mag > 0.0:
-            ph = piv.conjugate() / mag
-            u[:, j] *= ph
-            v[:, j] *= ph  # same phase on both factors keeps u_j v_j^dagger invariant
+    v = vh.conj().T
+    ph = _pivot_phases(u.T)
+    u, v = u * ph, v * ph  # same phase on both factors keeps u_j v_j^dagger invariant
     scale = max(1.0, float(s.max())) if s.size else 1.0
-    order = _tie_break_columns(-s, u, HERMITIAN_ATOL * scale)
+    order = _tie_break_order(-s, u, HERMITIAN_ATOL * scale)
     return SvdResult(u=u[:, order], values=s[order], v=v[:, order])
 
 

@@ -1,28 +1,32 @@
 """Deterministic multistart see-saw minimization over product and low-rank states.
 
-Both optimizers alternate between the two free factors of the ansatz. Each
-half-step fixes one factor and minimizes the quadratic objective exactly over
-the other, which reduces to the minimal eigenvector of a small effective
-Hermitian operator. The objective value therefore never increases from one
-half-step to the next, and every restart converges to a stationary point.
+Both optimizers run one multistart driver that alternates between the two
+factors of the ansatz. Each half-step fixes one factor and minimizes the
+quadratic objective exactly over the other, which reduces to the minimal
+eigenvector of a small effective Hermitian operator. The objective value
+therefore never increases from one half-step to the next, and every restart
+converges to a stationary point.
 
 Determinism contract: restart ``k`` draws its starting point from a dedicated
 generator seeded with ``seed XOR k``, restarts never interact, and the merge
-of restart results is a plain minimum with a first-index tie-break. Running
-the same inputs twice (or scheduling restarts in any order) gives identical
-results. The reported best value is a heuristic upper bound on the true
-infimum: multistart see-saw carries no global optimality certificate.
+of restart results is a plain minimum with a first-index tie-break. Every
+array operation acts on each restart at a fixed shape, so restart ``k`` gives
+bit-identical results in a batch of any size; a converged restart simply
+leaves the batch. Running the same inputs twice (or scheduling restarts in
+any order) gives identical results. The reported best value is a heuristic
+upper bound on the true infimum: multistart see-saw carries no global
+optimality certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .bipartite import BipartiteOperator, ProductVector
-from .linalg import HERMITIAN_ATOL, is_hermitian
+from .bipartite import BipartiteOperator, ProductVector, partial_transpose
+from .linalg import HERMITIAN_ATOL, canonical_eigenbasis, is_hermitian, phase_fix
 
 __all__ = [
     "OptResult",
@@ -110,13 +114,15 @@ class OptResult:
 
 def _coerce_terms(
     terms: Sequence[QuadraticTerm | tuple], dims: tuple[int, int] | None
-) -> tuple[list[tuple[np.ndarray, bool]], tuple[int, int]]:
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Sum the terms into one Hermitian H with <ab|H|ab> equal to the objective.
+
+    A conjugated term enters as its partial transpose over B, because
+    <a (x) conj(b)| X |a (x) conj(b)> = <a (x) b| X^T_B |a (x) b>.
+    """
     parsed: list[tuple[np.ndarray, bool]] = []
     for term in terms:
-        if isinstance(term, QuadraticTerm):
-            op, flag = term.operator, term.conjugate_b
-        else:
-            op, flag = term
+        op, flag = (term.operator, term.conjugate_b) if isinstance(term, QuadraticTerm) else term
         if isinstance(op, BipartiteOperator):
             if dims is None:
                 dims = (op.dim_a, op.dim_b)
@@ -137,37 +143,110 @@ def _coerce_terms(
         dims = (root, root)
     if dims[0] * dims[1] != d:
         raise ValueError(f"dims {dims} do not match operator dimension {d}")
-    return parsed, dims
+    h = sum(partial_transpose(BipartiteOperator(op, *dims)).matrix if flag else op for op, flag in parsed)
+    return h, dims
 
 
 def _batch_min_eigvec(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimal eigenpair for a stack of Hermitian matrices, phase-fixed.
 
-    For (rare) degenerate minima the phase-fixed lexicographically smallest
-    eigenvector of the computed eigenbasis is selected, keeping the choice
-    reproducible.
+    For (rare) degenerate minima the eigenbasis of that matrix is put into
+    :func:`~pptedge.linalg.canonical_eigenbasis` order first, the convention
+    of :func:`~pptedge.linalg.hermitian_eig`, keeping the choice reproducible.
     """
     w, v = np.linalg.eigh(mats)
-    vecs = np.array(v[..., 0])
-    scale = np.maximum(1.0, np.abs(w).max(axis=-1))
-    degenerate = np.nonzero(w[..., 1] - w[..., 0] <= HERMITIAN_ATOL * scale)[0]
-    piv = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-1)[..., None], axis=-1)[..., 0]
-    mag = np.abs(piv)
-    safe = np.where(mag > 0.0, mag, 1.0)
-    vecs = vecs * (piv.conjugate() / safe)[..., None]
-    for r in degenerate:
-        lo = w[r, 0]
-        cand = [j for j in range(w.shape[-1]) if w[r, j] - lo <= HERMITIAN_ATOL * scale[r]]
-        cols = []
-        for j in cand:
-            col = np.array(v[r, :, j])
-            p = col[int(np.argmax(np.abs(col)))]
-            if abs(p) > 0.0:
-                col = col * (p.conjugate() / abs(p))
-            cols.append(col)
-        best = min(cols, key=lambda c: tuple(x for e in c for x in (e.real, e.imag)))
-        vecs[r] = best
+    vecs = phase_fix(v[..., 0])
+    degenerate = w[..., 1] - w[..., 0] <= HERMITIAN_ATOL * np.maximum(1.0, np.abs(w).max(axis=-1))
+    if degenerate.any():
+        vecs[degenerate] = canonical_eigenbasis(w[degenerate], v[degenerate])[1][..., 0]
     return w[..., 0], vecs
+
+
+def _starts(cfg: SeeSawConfig, dim: int, rank: int) -> np.ndarray:
+    """Unit-norm complex Gaussian (dim x rank) factor per restart; restart r draws from seed ^ r."""
+    out = np.empty((cfg.restarts, dim, rank), dtype=complex)
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed ^ r)
+        z = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
+        out[r] = z.T / np.linalg.norm(z)
+    return out
+
+
+def _half_step(h: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
+    """Exact minimization over party ``free``'s factor (0 = A, 1 = B) with the other factor fixed.
+
+    Factors are stacks (n, dim, rank) standing for psi = sum_r A[:, r] (x) B[:, r].
+    Once the fixed factor has orthonormal columns, <psi|H|psi> / <psi|psi> is the
+    Rayleigh quotient of an effective operator on vec(free). That operator is
+    one (rank^2 x m^2) @ (m^2 x d^2) product per restart, with m and d the fixed
+    and free party dimensions: a fixed shape per restart, so every restart's
+    arithmetic is the same whatever batch it runs in.
+    """
+    da, db = dims
+    h4 = h.reshape(da, db, da, db)
+    # rows (u, v): bra and ket index of the fixed party; columns (f, g): of the free party
+    mat, m, d = (h4.transpose(1, 3, 0, 2), db, da) if free == 0 else (h4.transpose(0, 2, 1, 3), da, db)
+    mat = mat.reshape(m * m, d * d)
+
+    def step(fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n, _, rank = fixed.shape
+        if rank > 1:
+            fixed = np.linalg.svd(fixed.transpose(0, 2, 1), full_matrices=False)[2].transpose(0, 2, 1)
+        ft = fixed.transpose(0, 2, 1)
+        outer = (ft.conj()[:, :, None, :, None] * ft[:, None, :, None, :]).reshape(n, rank * rank, m * m)
+        eff = (outer @ mat).reshape(n, rank, rank, d, d).transpose(0, 3, 1, 4, 2).reshape(n, d * rank, d * rank)
+        w, v = _batch_min_eigvec((eff + eff.conj().transpose(0, 2, 1)) / 2)
+        return w, fixed, v.reshape(n, d, rank)
+
+    return step
+
+
+def _multistart(
+    cfg: SeeSawConfig,
+    fixed: np.ndarray,
+    free: np.ndarray,
+    half_steps: tuple[Callable, Callable],
+    argmin: Callable[[np.ndarray, np.ndarray], ProductVector | RankTwoFactors],
+) -> OptResult:
+    """Alternate the two half-steps on every restart until its sweep stops improving.
+
+    ``fixed`` holds the starting factors the first half-step keeps fixed,
+    ``free`` the factors it replaces; the second half-step swaps the roles.
+    A restart leaves the batch once one full sweep lowers its value by less
+    than ``conv_tol``. ``argmin`` builds the reported point from the best
+    restart's (fixed, free) pair.
+    """
+    n = cfg.restarts
+    values = np.full(n, np.inf)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    traces: list[list[float]] | None = [[] for _ in range(n)] if cfg.record_trace else None
+    active = np.arange(n)
+    for _ in range(cfg.max_iter):
+        if active.size == 0:
+            break
+        w_free, x, y = half_steps[0](fixed[active])
+        w_fixed, y, x = half_steps[1](y)
+        fixed[active], free[active] = x, y
+        if traces is not None:
+            for r, first, second in zip(active, w_free, w_fixed):
+                traces[r].extend((float(first), float(second)))
+        done = np.abs(values[active] - w_fixed) < cfg.conv_tol
+        values[active] = w_fixed
+        iterations[active] += 1
+        converged[active[done]] = True
+        active = active[~done]
+
+    best = int(np.argmin(values))
+    return OptResult(
+        best_value=float(values[best]),
+        argmin=argmin(fixed[best], free[best]),
+        restart_values=values,
+        iterations_used=iterations,
+        converged=converged,
+        best_index=best,
+        traces=tuple(tuple(t) for t in traces) if traces is not None else None,
+    )
 
 
 def min_generic_quadratic(
@@ -178,65 +257,16 @@ def min_generic_quadratic(
     """Minimize a sum of quadratic forms over unit product vectors (a, b).
 
     Each term contributes <a (x) b| H |a (x) b> or, with ``conjugate_b``,
-    <a (x) conj(b)| H |a (x) conj(b)>. Both variants contract to an effective
-    Hermitian operator for whichever party is free, so the alternation stays
-    an exact eigenvector update throughout.
+    <a (x) conj(b)| H |a (x) conj(b)>. The terms sum to one Hermitian
+    operator, whose contraction with either fixed factor is an effective
+    Hermitian operator for the other, so every half-step is an exact
+    eigenvector update.
     """
-    parsed, (da, db) = _coerce_terms(terms, dims)
-    tensors = [(np.ascontiguousarray(op.reshape(da, db, da, db)), flag) for op, flag in parsed]
-    n = cfg.restarts
-
-    a_fac = np.empty((n, da), dtype=complex)
-    b_fac = np.empty((n, db), dtype=complex)
-    for r in range(n):
-        rng = np.random.default_rng(cfg.seed ^ r)
-        a = rng.standard_normal(da) + 1j * rng.standard_normal(da)
-        b = rng.standard_normal(db) + 1j * rng.standard_normal(db)
-        a_fac[r] = a / np.linalg.norm(a)
-        b_fac[r] = b / np.linalg.norm(b)
-
-    values = np.full(n, np.inf)
-    iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
-    traces: list[list[float]] | None = [[] for _ in range(n)] if cfg.record_trace else None
-
-    for _ in range(cfg.max_iter):
-        if not active.any():
-            break
-        eff_b = np.zeros((n, db, db), dtype=complex)
-        for t4, flag in tensors:
-            contr = np.einsum("ri,ikjl,rj->rkl", a_fac.conj(), t4, a_fac, optimize=True)
-            eff_b += contr.conj() if flag else contr
-        wb, vb = _batch_min_eigvec(eff_b)
-        b_fac = np.where(active[:, None], vb, b_fac)
-
-        eff_a = np.zeros((n, da, da), dtype=complex)
-        for t4, flag in tensors:
-            bb = b_fac.conj() if flag else b_fac
-            eff_a += np.einsum("rk,ikjl,rl->rij", bb.conj(), t4, bb, optimize=True)
-        wa, va = _batch_min_eigvec(eff_a)
-        a_fac = np.where(active[:, None], va, a_fac)
-
-        if traces is not None:
-            for r in np.nonzero(active)[0]:
-                traces[r].extend((float(wb[r]), float(wa[r])))
-        now_converged = active & (np.abs(values - wa) < cfg.conv_tol)
-        values = np.where(active, wa, values)
-        iterations += active
-        converged |= now_converged
-        active &= ~now_converged
-
-    best = int(np.argmin(values))
-    return OptResult(
-        best_value=float(values[best]),
-        argmin=ProductVector(a_fac[best], b_fac[best]),
-        restart_values=values,
-        iterations_used=iterations,
-        converged=converged,
-        best_index=best,
-        traces=tuple(tuple(t) for t in traces) if traces is not None else None,
-    )
+    h, dims = _coerce_terms(terms, dims)
+    a = _starts(cfg, dims[0], 1)
+    b = np.zeros((cfg.restarts, dims[1], 1), dtype=complex)
+    steps = (_half_step(h, dims, 1), _half_step(h, dims, 0))
+    return _multistart(cfg, a, b, steps, lambda a_best, b_best: ProductVector(a_best[:, 0], b_best[:, 0]))
 
 
 def min_product_expectation(
@@ -246,12 +276,6 @@ def min_product_expectation(
 ) -> OptResult:
     """Heuristic infimum of <ab| H |ab> over unit product vectors."""
     return min_generic_quadratic([QuadraticTerm(operator, False)], cfg, dims)
-
-
-def _orthonormal_rows(mats: np.ndarray) -> np.ndarray:
-    """Row-orthonormal replacement spanning (at least) each matrix's row space."""
-    _, _, vh = np.linalg.svd(mats, full_matrices=False)
-    return vh
 
 
 def min_schmidt2_expectation(
@@ -267,64 +291,11 @@ def min_schmidt2_expectation(
     The returned state has at most two nonzero Schmidt coefficients by
     construction.
     """
-    if isinstance(operator, BipartiteOperator):
-        if (operator.dim_a, operator.dim_b) != (3, 3):
-            raise ValueError("Schmidt-rank-2 minimization is implemented for 3x3 systems")
-        mat = operator.matrix
-    else:
-        mat = np.asarray(operator, dtype=complex)
-        if mat.shape != (9, 9):
-            raise ValueError("Schmidt-rank-2 minimization is implemented for 3x3 systems")
-    if not is_hermitian(mat):
-        raise ValueError("objective operator must be Hermitian within 1e-12")
-    h4 = np.ascontiguousarray(mat.reshape(3, 3, 3, 3))
-    n = cfg.restarts
-
-    right = np.empty((n, 2, 3), dtype=complex)
-    for r in range(n):
-        rng = np.random.default_rng(cfg.seed ^ r)
-        right[r] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    left = np.zeros((n, 3, 2), dtype=complex)
-
-    values = np.full(n, np.inf)
-    iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
-    traces: list[list[float]] | None = [[] for _ in range(n)] if cfg.record_trace else None
-
-    for _ in range(cfg.max_iter):
-        if not active.any():
-            break
-        r_orth = _orthonormal_rows(right)
-        right = np.where(active[:, None, None], r_orth, right)
-        eff_l = np.einsum("xrk,ikjl,xsl->xirjs", right.conj(), h4, right, optimize=True).reshape(n, 6, 6)
-        eff_l = (eff_l + eff_l.conj().transpose(0, 2, 1)) / 2
-        wl, vl = _batch_min_eigvec(eff_l)
-        left = np.where(active[:, None, None], vl.reshape(n, 3, 2), left)
-
-        l_orth = _orthonormal_rows(left.transpose(0, 2, 1)).transpose(0, 2, 1)
-        left = np.where(active[:, None, None], l_orth, left)
-        eff_r = np.einsum("xir,ikjl,xjs->xrksl", left.conj(), h4, left, optimize=True).reshape(n, 6, 6)
-        eff_r = (eff_r + eff_r.conj().transpose(0, 2, 1)) / 2
-        wr, vr = _batch_min_eigvec(eff_r)
-        right = np.where(active[:, None, None], vr.reshape(n, 2, 3), right)
-
-        if traces is not None:
-            for r in np.nonzero(active)[0]:
-                traces[r].extend((float(wl[r]), float(wr[r])))
-        now_converged = active & (np.abs(values - wr) < cfg.conv_tol)
-        values = np.where(active, wr, values)
-        iterations += active
-        converged |= now_converged
-        active &= ~now_converged
-
-    best = int(np.argmin(values))
-    return OptResult(
-        best_value=float(values[best]),
-        argmin=RankTwoFactors(left[best].copy(), right[best].copy()),
-        restart_values=values,
-        iterations_used=iterations,
-        converged=converged,
-        best_index=best,
-        traces=tuple(tuple(t) for t in traces) if traces is not None else None,
-    )
+    # a plain matrix is read as 3x3, and one of another size then fails the dims check
+    h, dims = _coerce_terms([QuadraticTerm(operator)], None if isinstance(operator, BipartiteOperator) else (3, 3))
+    if dims != (3, 3):
+        raise ValueError("Schmidt-rank-2 minimization is implemented for 3x3 systems")
+    right = _starts(cfg, 3, 2)
+    left = np.zeros((cfg.restarts, 3, 2), dtype=complex)
+    steps = (_half_step(h, dims, 0), _half_step(h, dims, 1))
+    return _multistart(cfg, right, left, steps, lambda r_best, l_best: RankTwoFactors(l_best.copy(), r_best.T.copy()))

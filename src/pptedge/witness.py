@@ -4,9 +4,13 @@ Two constructions are provided. The kernel witness for an edge state delta
 starts from W = N * (P + Q^T_B) with P, Q the kernel projectors of delta and
 its partial transpose and N = 1 / Tr(P + Q^T_B); subtracting the product
 infimum epsilon of W makes the result a witness that detects delta with
-Tr(W1 delta) = -epsilon. The realignment witness applies whenever the
-realigned state has trace norm above one: with R(rho) = U D V^dagger, the
-Hermitian part of (identity - R(U V^dagger)) has expectation
+Tr(W1 delta) = -epsilon. As <ab|P + Q^T_B|ab> is the edge objective at (a, b),
+epsilon is N times the edge certificate's minimum by construction, exactly as
+heuristic as that minimum, and no second see-saw runs.
+
+The realignment witness applies whenever the realigned state has trace
+norm above one: with R(rho) = U D V^dagger, the Hermitian part of
+(identity - R(U V^dagger)) has expectation
 1 - sum(singular values) < 0 on rho while staying nonnegative on every
 product state, since R maps product projectors to rank-one matrices of unit
 Frobenius norm and R(U V^dagger) has operator norm one.
@@ -24,10 +28,10 @@ import numpy as np
 
 from . import linalg
 from .bipartite import BipartiteOperator, partial_transpose, realign
-from .catalog import CatalogEntry
-from .criteria import REALIGNMENT_SLACK, range_projectors
+from .catalog import CatalogEntry, operator_and_name
+from .criteria import REALIGNMENT_SLACK, EdgeCertificate, certify_edge, ppt_range_projectors
 from .exceptions import NotApplicableError
-from .optimize import OptResult, SeeSawConfig, min_product_expectation, min_schmidt2_expectation
+from .optimize import OptResult, SeeSawConfig, min_schmidt2_expectation
 
 __all__ = [
     "Witness",
@@ -44,7 +48,8 @@ class Witness:
     """Hermitian witness operator plus construction metadata.
 
     ``epsilon`` is the heuristic product-state infimum used in the kernel
-    construction; ``normalization`` its trace normalization N; ``pre_shift``
+    construction and ``opt`` the edge see-saw it comes from, in witness units
+    (values times N); ``normalization`` is the trace normalization N; ``pre_shift``
     the operator before the epsilon subtraction, when one exists. Shifted
     witnesses keep their ancestor's metadata and record ``eps_shift``.
     """
@@ -72,10 +77,6 @@ class Witness:
         return meta
 
 
-def _operator(state: BipartiteOperator | CatalogEntry) -> BipartiteOperator:
-    return state.state if isinstance(state, CatalogEntry) else state
-
-
 def _witness_matrix(w: Witness | BipartiteOperator | np.ndarray) -> np.ndarray:
     if isinstance(w, Witness):
         return w.operator.matrix
@@ -91,7 +92,7 @@ def evaluate(w: Witness | BipartiteOperator | np.ndarray, state: BipartiteOperat
     complex value signals a non-Hermitian operand and raises.
     """
     wm = _witness_matrix(w)
-    rho = _operator(state).matrix
+    rho = operator_and_name(state)[0].matrix
     if wm.shape != rho.shape:
         raise ValueError(f"dimension mismatch: witness {wm.shape} vs state {rho.shape}")
     val = complex(np.trace(wm.conj().T @ rho))
@@ -100,39 +101,48 @@ def evaluate(w: Witness | BipartiteOperator | np.ndarray, state: BipartiteOperat
     return float(val.real)
 
 
+def _kernel_dims(p_range: np.ndarray, p_pt_range: np.ndarray) -> tuple[int, ...]:
+    dims = tuple(p.shape[0] - int(round(np.trace(p).real)) for p in (p_range, p_pt_range))
+    if 0 in dims:
+        raise NotApplicableError("kernel witness requires rank-deficient state and partial transpose")
+    return dims
+
+
 def kernel_witness(
     state: BipartiteOperator | CatalogEntry,
     cfg: SeeSawConfig = SeeSawConfig(),
     rel_tol: float = linalg.DEFAULT_RANK_RTOL,
+    ppt_tol: float = 1e-12,
+    edge: EdgeCertificate | None = None,
 ) -> Witness:
     """Kernel-projector witness W1 for a rank-deficient PPT state.
 
     Builds W = N (P + Q^T_B) from the kernel projectors P of the state and
-    Q of its partial transpose, estimates the product infimum epsilon by
-    multistart see-saw, and returns W1 = W - epsilon * identity. Fails with
-    :class:`NotApplicableError` when either kernel is trivial.
+    Q of its partial transpose and returns W1 = W - epsilon * identity, with
+    epsilon = N * edge.minimum the product infimum of W. ``edge`` is the
+    state's :func:`~pptedge.criteria.certify_edge` result for the same
+    ``cfg``, ``rel_tol`` and ``ppt_tol``; when omitted it is computed here,
+    after the kernel check, so an inapplicable state runs no see-saw. Fails
+    with :class:`NotApplicableError` when the state is not PPT or either
+    kernel is trivial.
     """
-    op = _operator(state)
-    name = state.name if isinstance(state, CatalogEntry) else "custom"
-    dim = op.dim
-    p_range, p_pt_range = range_projectors(state, rel_tol)
-    kernel_dim = dim - int(round(np.trace(p_range).real))
-    pt_kernel_dim = dim - int(round(np.trace(p_pt_range).real))
-    if kernel_dim == 0 or pt_kernel_dim == 0:
-        raise NotApplicableError("kernel witness requires rank-deficient state and partial transpose")
-    eye = np.eye(dim, dtype=complex)
-    p = eye - p_range
-    q = eye - p_pt_range
-    q_pt = partial_transpose(BipartiteOperator(q, op.dim_a, op.dim_b)).matrix
+    op, name = operator_and_name(state)
+    if edge is None:
+        _kernel_dims(*ppt_range_projectors(state, rel_tol, ppt_tol))
+        edge = certify_edge(state, cfg, rel_tol, ppt_tol)
+    p_range, p_pt_range = edge.projectors
+    kernel_dim, pt_kernel_dim = _kernel_dims(p_range, p_pt_range)
+    eye = np.eye(op.dim, dtype=complex)
+    q_pt = partial_transpose(BipartiteOperator(eye - p_pt_range, op.dim_a, op.dim_b)).matrix
     # Tr(P + Q^T_B) is the sum of the two kernel dimensions, an exact integer
     norm = 1.0 / (kernel_dim + pt_kernel_dim)
-    w_delta = norm * (p + q_pt)
-    w_delta = (w_delta + w_delta.conj().T) / 2
-    opt = min_product_expectation(w_delta, cfg, dims=(op.dim_a, op.dim_b))
-    eps = opt.best_value
-    w1 = w_delta - eps * eye
+    # exactly Hermitian: both projectors are, and so is a partial transpose of a Hermitian matrix
+    w_delta = norm * (eye - p_range + q_pt)
+    eps = norm * edge.minimum
+    traces = None if edge.opt.traces is None else tuple(tuple(norm * x for x in t) for t in edge.opt.traces)
+    opt = replace(edge.opt, best_value=eps, restart_values=norm * edge.opt.restart_values, traces=traces)
     return Witness(
-        operator=BipartiteOperator(w1, op.dim_a, op.dim_b),
+        operator=BipartiteOperator(w_delta - eps * eye, op.dim_a, op.dim_b),
         method="kernel",
         source=name,
         epsilon=eps,
@@ -149,8 +159,7 @@ def realignment_witness(state: BipartiteOperator | CatalogEntry) -> Witness:
     expectation on the state equals 1 - trace norm < 0. Raises
     :class:`NotApplicableError` otherwise.
     """
-    op = _operator(state)
-    name = state.name if isinstance(state, CatalogEntry) else "custom"
+    op, name = operator_and_name(state)
     res = linalg.svd(realign(op))
     total = res.trace_norm
     if total <= 1.0 + REALIGNMENT_SLACK:

@@ -1,10 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import helpers
 from conftest import TRACE_NORM_6_6
+from pptedge import criteria, optimize
 from pptedge.bipartite import BipartiteOperator
 from pptedge.cli import main
 from pptedge.serialize import write_matrix_file
@@ -123,6 +125,44 @@ def test_witness_inapplicable_exit_4(capsys):
     assert main(["witness", "max_mixed", "--method", "realign"]) == 4
     assert main(["witness", "max_mixed", "--method", "kernel"]) == 4
     capsys.readouterr()
+
+
+def test_witness_kernel_non_ppt_exit_4(capsys):
+    assert main(["witness", "max_entangled", "--method", "kernel"]) == 4
+    assert "PPT" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Replace every pptedge binding of function ``name`` by a wrapper that records its calls."""
+    original = getattr(optimize, name, None) or getattr(criteria, name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("pptedge") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_witness_kernel_full_rank_runs_no_see_saw(monkeypatch, capsys):
+    see_saws = _count_calls(monkeypatch, "min_generic_quadratic")
+    assert main(["witness", "max_mixed", "--method", "kernel"]) == 4
+    assert see_saws == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["rho_5_5", "rho_6_6"])
+def test_analyze_runs_edge_see_saw_and_projectors_once(monkeypatch, capsys, name):
+    see_saws = _count_calls(monkeypatch, "min_generic_quadratic")
+    projectors = _count_calls(monkeypatch, "range_projectors")
+    report = _run_json(capsys, ["analyze", name, *FAST])
+    assert len(see_saws) == 1
+    assert len(projectors) == 1
+    kernel = report["witnesses"]["kernel"]
+    assert kernel["epsilon"] == kernel["normalization"] * report["edge"]["minimum"]
 
 
 def test_certify_edge_cli(capsys):

@@ -184,3 +184,41 @@ def test_dims_inference_and_validation():
         min_generic_quadratic([], QUICK)
     with pytest.raises(ValueError):
         min_schmidt2_expectation(np.eye(6), QUICK)
+
+
+def _argmin_bits(argmin) -> tuple[bytes, ...]:
+    return tuple(np.asarray(x).tobytes() for x in vars(argmin).values())
+
+
+def _edge_terms_5_5() -> list[QuadraticTerm]:
+    from pptedge import catalog, linalg
+
+    entry = catalog.rho_5_5()
+    eye = np.eye(9)
+    return [
+        QuadraticTerm(eye - linalg.span_projector(entry.range_basis), False),
+        QuadraticTerm(eye - linalg.span_projector(entry.pt_range_basis), True),
+    ]
+
+
+_BATCH_OBJECTIVES = {
+    "product": lambda cfg: min_generic_quadratic(_edge_terms_5_5(), cfg),
+    "schmidt2": lambda cfg: min_schmidt2_expectation(helpers.random_hermitian(np.random.default_rng(8), 9), cfg),
+}
+_BATCH_REFERENCE: dict[str, OptResult] = {}
+
+
+@pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
+@pytest.mark.parametrize("batch", [1, 3, 37, 200])
+def test_restart_is_bit_identical_in_any_batch(objective, batch):
+    run = _BATCH_OBJECTIVES[objective]
+    if objective not in _BATCH_REFERENCE:
+        _BATCH_REFERENCE[objective] = run(SeeSawConfig(restarts=200, seed=42))
+    ref = _BATCH_REFERENCE[objective]
+    res = run(SeeSawConfig(restarts=batch, seed=42))
+    assert res.restart_values.tobytes() == ref.restart_values[:batch].tobytes()
+    assert res.iterations_used.tobytes() == ref.iterations_used[:batch].tobytes()
+    # restart k of seed s is restart 0 of seed s ^ k, so a batch of one reproduces the best restart alone
+    alone = run(SeeSawConfig(restarts=1, seed=42 ^ res.best_index))
+    assert alone.restart_values[0] == res.best_value
+    assert _argmin_bits(alone.argmin) == _argmin_bits(res.argmin)
