@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import InvalidStateError
+from .exceptions import InvalidStateError, NotApplicableError
 
 __all__ = [
     "BipartiteOperator",
@@ -95,10 +95,11 @@ def realign(op: BipartiteOperator) -> np.ndarray:
 
     Only the square-block case dA == dB is supported; there the map is an
     involution, and the trace norm of the result is the realignment figure
-    of merit used by the separability criterion.
+    of merit used by the separability criterion. Unequal dimensions raise
+    :class:`NotApplicableError`.
     """
     if op.dim_a != op.dim_b:
-        raise ValueError(f"realignment requires dim_a == dim_b, got ({op.dim_a}, {op.dim_b})")
+        raise NotApplicableError(f"realignment requires dim_a == dim_b, got ({op.dim_a}, {op.dim_b})")
     da = op.dim_a
     return op.tensor4().transpose(0, 2, 1, 3).reshape(da * da, da * da)
 

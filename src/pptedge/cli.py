@@ -11,7 +11,9 @@ applicable, 5 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -28,14 +30,36 @@ EXIT_NOT_APPLICABLE = 4
 EXIT_INTERNAL = 5
 
 
+def _bounded(kind: type, ok: Callable, what: str) -> Callable[[str], int | float]:
+    """Argparse ``type=`` that parses ``kind`` and rejects values failing ``ok``, so argparse exits 2."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if (isinstance(value, float) and not math.isfinite(value)) or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_COUNT = _bounded(int, lambda x: x >= 1, "an integer >= 1")
+_SEED = _bounded(int, lambda x: x >= 0, "an integer >= 0")
+_POSITIVE = _bounded(float, lambda x: x > 0.0, "finite and > 0")
+_NONNEGATIVE = _bounded(float, lambda x: x >= 0.0, "finite and >= 0")
+_RELATIVE = _bounded(float, lambda x: 0.0 < x < 1.0, "finite and in (0, 1)")
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="optimizer seed (default 42)")
-    common.add_argument("--restarts", type=int, default=200, help="see-saw restarts (default 200)")
-    common.add_argument("--max-iter", type=int, default=500, help="see-saw sweeps per restart (default 500)")
-    common.add_argument("--conv-tol", type=float, default=1e-12, help="see-saw convergence tolerance (default 1e-12)")
-    common.add_argument("--tol-eig", type=float, default=1e-9, help="relative rank threshold (default 1e-9)")
-    common.add_argument("--tol-pos", type=float, default=1e-12, help="positivity tolerance (default 1e-12)")
+    common.add_argument("--seed", type=_SEED, default=42, help="optimizer seed (default 42)")
+    common.add_argument("--restarts", type=_COUNT, default=200, help="see-saw restarts (default 200)")
+    common.add_argument("--max-iter", type=_COUNT, default=500, help="see-saw sweeps per restart (default 500)")
+    common.add_argument("--conv-tol", type=_POSITIVE, default=1e-12, help="see-saw convergence tolerance (default 1e-12)")
+    common.add_argument("--tol-eig", type=_RELATIVE, default=1e-9, help="relative rank threshold (default 1e-9)")
+    common.add_argument("--tol-pos", type=_NONNEGATIVE, default=1e-12, help="positivity tolerance (default 1e-12)")
     common.add_argument("--out", type=str, default=None, help="write JSON output to this path instead of stdout")
     return common
 
@@ -56,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("kernel", "realign"), required=True)
     p.add_argument(
         "--shift",
-        type=float,
+        type=_POSITIVE,
         nargs="?",
         const=1e-6,
         default=None,

@@ -6,6 +6,12 @@ conjugate partner in the range of the partial transpose. The certification
 minimizes the summed squared residuals of both memberships over all product
 vectors; a strictly positive minimum (found heuristically) is the edge
 evidence, while any restart reaching zero exhibits a violating pair.
+
+A PPT state whose range and partial-transpose range are both the whole space
+is "not edge" exactly: every product vector and its conjugate partner lie in
+the full space, so the objective is identically zero and no see-saw runs.
+The full-rank decision is the same ``rel_tol`` rank decision that builds the
+range projectors.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = [
     "certify_edge",
     "edge_objective",
     "is_ppt",
+    "kernel_dims",
     "ppt_range_projectors",
     "range_membership",
     "realignment_criterion",
@@ -57,12 +64,15 @@ class CriterionReport:
 
 @dataclass(frozen=True)
 class EdgeCertificate:
-    """Heuristic edge certification record.
+    """Edge certification record.
 
     ``minimum`` is the smallest edge objective found over all restarts; it
     equals ``residual_range**2 + residual_pt_range**2`` at ``argmin``.
     ``projectors`` holds the range projectors of the state and of its
-    partial transpose that define the objective. The
+    partial transpose that define the objective. ``opt`` is the see-saw run
+    the minimum comes from; it is ``None`` when both ranges are the whole
+    space, where the verdict is "not edge" exactly, the minimum is 0.0 at
+    the first basis product vector, and no restart ran. The
     verdict carries an explicit inconclusive band between the zero threshold
     and the positive threshold so a near-zero heuristic minimum is never
     promoted to an edge claim.
@@ -74,22 +84,27 @@ class EdgeCertificate:
     argmin: ProductVector
     residual_range: float
     residual_pt_range: float
-    opt: OptResult
+    opt: OptResult | None
     projectors: tuple[np.ndarray, np.ndarray]
 
     def to_dict(self) -> dict:
-        return {
+        """Report block; the see-saw statistics appear only when a see-saw ran."""
+        out = {
             "state": self.state,
             "verdict": self.verdict,
             "minimum": self.minimum,
             "residual_range": self.residual_range,
             "residual_pt_range": self.residual_pt_range,
-            "restart_min": float(np.min(self.opt.restart_values)),
-            "restart_median": float(np.median(self.opt.restart_values)),
-            "restart_max": float(np.max(self.opt.restart_values)),
-            "iterations_max": int(np.max(self.opt.iterations_used)),
-            "all_converged": bool(np.all(self.opt.converged)),
         }
+        if self.opt is not None:
+            out.update(
+                restart_min=float(np.min(self.opt.restart_values)),
+                restart_median=float(np.median(self.opt.restart_values)),
+                restart_max=float(np.max(self.opt.restart_values)),
+                iterations_max=int(np.max(self.opt.iterations_used)),
+                all_converged=bool(np.all(self.opt.converged)),
+            )
+        return out
 
 
 def range_projectors(
@@ -107,6 +122,11 @@ def range_projectors(
         linalg.range_projector(op.matrix, rel_tol),
         linalg.range_projector(partial_transpose(op).matrix, rel_tol),
     )
+
+
+def kernel_dims(p_range: np.ndarray, p_pt_range: np.ndarray) -> tuple[int, int]:
+    """Dimensions of the kernels of rho and rho^T_B from their range projectors (dim - trace)."""
+    return tuple(p.shape[0] - int(round(np.trace(p).real)) for p in (p_range, p_pt_range))
 
 
 def is_ppt(state: BipartiteOperator | CatalogEntry, tol: float = 1e-12) -> CriterionReport:
@@ -159,13 +179,26 @@ def certify_edge(
     """Minimize the edge objective over product vectors and classify the result.
 
     Only PPT states are eligible (an edge state is PPT by definition); a
-    non-PPT input raises :class:`NotApplicableError`. The verdict is
-    "edge (heuristic)" when every restart stays above the positive threshold,
-    "not edge" when some restart reaches (numerical) zero, and "inconclusive"
-    in between.
+    non-PPT input raises :class:`NotApplicableError`. When both kernels are
+    trivial the verdict is "not edge" exactly and no see-saw runs. Otherwise
+    the verdict is "edge (heuristic)" when every restart stays above the
+    positive threshold, "not edge" when some restart reaches (numerical)
+    zero, and "inconclusive" in between.
     """
     op, name = operator_and_name(state)
     p_range, p_pt = ppt_range_projectors(state, rel_tol, ppt_tol)
+    if kernel_dims(p_range, p_pt) == (0, 0):
+        # every product vector and its partner lie in the full space, e0 (x) e0 among them
+        return EdgeCertificate(
+            state=name,
+            verdict="not edge",
+            minimum=0.0,
+            argmin=ProductVector(np.eye(op.dim_a)[0], np.eye(op.dim_b)[0]),
+            residual_range=0.0,
+            residual_pt_range=0.0,
+            opt=None,
+            projectors=(p_range, p_pt),
+        )
     eye = np.eye(op.dim, dtype=complex)
     terms = [QuadraticTerm(eye - p_range, False), QuadraticTerm(eye - p_pt, True)]
     result = min_generic_quadratic(terms, cfg, dims=(op.dim_a, op.dim_b))

@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .bipartite import BipartiteOperator, partial_transpose, realign
 from .catalog import CatalogEntry, operator_and_name
-from .criteria import REALIGNMENT_SLACK, EdgeCertificate, certify_edge, ppt_range_projectors
+from .criteria import REALIGNMENT_SLACK, EdgeCertificate, certify_edge, kernel_dims, ppt_range_projectors
 from .exceptions import NotApplicableError
 from .optimize import OptResult, SeeSawConfig, min_schmidt2_expectation
 
@@ -101,8 +101,8 @@ def evaluate(w: Witness | BipartiteOperator | np.ndarray, state: BipartiteOperat
     return float(val.real)
 
 
-def _kernel_dims(p_range: np.ndarray, p_pt_range: np.ndarray) -> tuple[int, ...]:
-    dims = tuple(p.shape[0] - int(round(np.trace(p).real)) for p in (p_range, p_pt_range))
+def _nontrivial_kernel_dims(p_range: np.ndarray, p_pt_range: np.ndarray) -> tuple[int, int]:
+    dims = kernel_dims(p_range, p_pt_range)
     if 0 in dims:
         raise NotApplicableError("kernel witness requires rank-deficient state and partial transpose")
     return dims
@@ -128,10 +128,10 @@ def kernel_witness(
     """
     op, name = operator_and_name(state)
     if edge is None:
-        _kernel_dims(*ppt_range_projectors(state, rel_tol, ppt_tol))
+        _nontrivial_kernel_dims(*ppt_range_projectors(state, rel_tol, ppt_tol))
         edge = certify_edge(state, cfg, rel_tol, ppt_tol)
     p_range, p_pt_range = edge.projectors
-    kernel_dim, pt_kernel_dim = _kernel_dims(p_range, p_pt_range)
+    kernel_dim, pt_kernel_dim = _nontrivial_kernel_dims(p_range, p_pt_range)
     eye = np.eye(op.dim, dtype=complex)
     q_pt = partial_transpose(BipartiteOperator(eye - p_pt_range, op.dim_a, op.dim_b)).matrix
     # Tr(P + Q^T_B) is the sum of the two kernel dimensions, an exact integer
@@ -199,6 +199,7 @@ def schmidt2_evidence(w: Witness | BipartiteOperator | np.ndarray, cfg: SeeSawCo
 
     A negative best value exhibits a Schmidt-rank-2 state the witness
     detects, the evidence relevant for low Schmidt number of the source
-    state.
+    state. The operator keeps its tensor split, so a witness outside 3x3
+    raises :class:`NotApplicableError`.
     """
-    return min_schmidt2_expectation(_witness_matrix(w), cfg)
+    return min_schmidt2_expectation(w.operator if isinstance(w, Witness) else w, cfg)

@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from conftest import TRACE_NORM_6_6
-from pptedge import criteria, optimize
+from pptedge import catalog, criteria, optimize
 from pptedge.bipartite import BipartiteOperator
 from pptedge.cli import main
 from pptedge.serialize import write_matrix_file
@@ -221,3 +221,107 @@ def test_schmidt2_cli_parse_error(tmp_path, capsys):
 def test_unknown_catalog_name_is_parse_error(capsys):
     assert main(["analyze", "rho_9_9"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "--restarts 0",
+        "--max-iter 0",
+        "--conv-tol 0",
+        "--conv-tol nan",
+        "--seed -1",
+        "--tol-eig nan",
+        "--tol-eig -1",
+        "--tol-eig 1",
+        "--tol-pos nan",
+        "--tol-pos=-1e-12",
+        "--method kernel --shift 0",
+        "--method kernel --shift -1",
+        "--method kernel --shift inf",
+    ],
+)
+def test_out_of_range_flags_exit_2(capsys, flags):
+    command = "witness" if "--method" in flags else "certify-edge"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "max_mixed", *flags.split()])
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_schmidt2_on_non_3x3_operator_exit_4(tmp_path, capsys):
+    path = tmp_path / "h4.json"
+    write_matrix_file(path, BipartiteOperator(np.diag([1.0, 2.0, 3.0, 4.0]), 2, 2))
+    assert main(["schmidt2", str(path), *FAST]) == 4
+    assert "3x3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["witness", "--method", "realign"]])
+def test_realignment_on_unequal_dims_exit_4(tmp_path, capsys, command):
+    path = tmp_path / "r19.json"
+    write_matrix_file(path, BipartiteOperator(np.eye(9) / 9, 1, 9))
+    assert main([command[0], str(path), *command[1:], *FAST]) == 4
+    assert "dim_a == dim_b" in capsys.readouterr().err
+
+
+def _state_file(tmp_path, name: str, matrix: np.ndarray, dims: tuple[int, int] = (3, 3)) -> str:
+    path = tmp_path / f"{name}.json"
+    write_matrix_file(path, BipartiteOperator(matrix, *dims))
+    return str(path)
+
+
+def test_analyze_2x2_skips_schmidt2_search(tmp_path, capsys):
+    a, b = np.kron([1.0, 0.0], [1.0, 0.0]), np.kron([0.0, 1.0], [0.6, 0.8])
+    path = _state_file(tmp_path, "sep2x2", (np.outer(a, a) + np.outer(b, b)) / 2, (2, 2))
+    report = _run_json(capsys, ["analyze", path, *FAST])
+    assert report["edge"]["verdict"] == "not edge"
+    assert "3x3" in report["witnesses"]["kernel"]["skipped"]
+
+
+def _separable_mixture(rank: int) -> np.ndarray:
+    """Equal mixture of ``rank`` fixed-seed product projectors: PPT, with rank and PT rank ``rank``."""
+    rng = np.random.default_rng(2006 + rank)
+    rho = np.zeros((9, 9), dtype=complex)
+    for _ in range(rank):
+        a, b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        rho += np.outer(v, v.conj()) / rank
+    return rho
+
+
+_SEE_SAW_STATS = {"restart_min", "restart_median", "restart_max", "iterations_max", "all_converged"}
+
+
+@pytest.mark.parametrize("name", ["max_mixed", "separable_sample", "noisy_rho_5_5"])
+def test_certify_edge_full_range_is_exact(tmp_path, monkeypatch, capsys, name):
+    if name == "noisy_rho_5_5":
+        noisy = 0.9 * catalog.rho_5_5().state.matrix + 0.1 * np.eye(9) / 9
+        name = _state_file(tmp_path, name, noisy)
+    see_saws = _count_calls(monkeypatch, "min_generic_quadratic")
+    payload = _run_json(capsys, ["certify-edge", name, *FAST])
+    assert see_saws == []
+    assert payload["verdict"] == "not edge"
+    assert payload["minimum"] == 0.0
+    assert payload["residual_range"] == 0.0 and payload["residual_pt_range"] == 0.0
+    assert payload["argmin"]["a"][0] == [1.0, 0.0] and payload["argmin"]["b"][0] == [1.0, 0.0]
+    assert _SEE_SAW_STATS.isdisjoint(payload)
+
+
+def test_certify_edge_rank_deficient_runs_one_see_saw(monkeypatch, capsys):
+    see_saws = _count_calls(monkeypatch, "min_generic_quadratic")
+    payload = _run_json(capsys, ["certify-edge", "rho_5_5", *FAST])
+    assert len(see_saws) == 1
+    assert payload["verdict"] == "edge (heuristic)"
+    assert _SEE_SAW_STATS <= set(payload)
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_certify_edge_rank_deficient_separable_reaches_zero(tmp_path, monkeypatch, capsys, rank):
+    rho = _separable_mixture(rank)
+    assert np.linalg.matrix_rank(rho, tol=1e-10) == rank
+    path = _state_file(tmp_path, f"sep{rank}", rho)
+    see_saws = _count_calls(monkeypatch, "min_generic_quadratic")
+    payload = _run_json(capsys, ["certify-edge", path, *FAST])
+    assert len(see_saws) == 1
+    assert payload["verdict"] == "not edge"
+    assert payload["minimum"] < 1e-10

@@ -222,3 +222,29 @@ def test_restart_is_bit_identical_in_any_batch(objective, batch):
     alone = run(SeeSawConfig(restarts=1, seed=42 ^ res.best_index))
     assert alone.restart_values[0] == res.best_value
     assert _argmin_bits(alone.argmin) == _argmin_bits(res.argmin)
+
+
+def _qr_inputs(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal((50, 3, 2)) + 1j * rng.standard_normal((50, 3, 2))
+    if kind == "rank_one":
+        f[:, :, 1] = (0.3 - 2.0j) * f[:, :, 0]
+    elif kind == "zero_first_column":
+        f[:, :, 0] = 0.0
+    elif kind == "zero_second_column":
+        f[:, :, 1] = 0.0
+    elif kind == "all_zero":
+        f[:] = 0.0
+    return f
+
+
+@pytest.mark.parametrize("kind", ["random", "rank_one", "zero_first_column", "zero_second_column", "all_zero"])
+def test_orthonormal_columns_span_the_input(kind):
+    from pptedge.optimize import _orthonormal_columns
+
+    f = _qr_inputs(kind)
+    q = _orthonormal_columns(f)
+    qh = q.conj().transpose(0, 2, 1)
+    assert q.shape == f.shape and np.isfinite(q).all()
+    assert np.abs(qh @ q - np.eye(2)).max() < 1e-14
+    assert np.abs(f - q @ (qh @ f)).max() < 1e-13
