@@ -19,7 +19,7 @@ from pptedge import (
     SeeSawConfig,
     evaluate,
     kernel_witness,
-    min_product_expectation,
+    min_generic_quadratic,
     realignment_witness,
     rho_5_5,
     rho_6_6,
@@ -37,7 +37,7 @@ for entry in (rho_5_5(), rho_6_6()):
     print(f"{entry.name}: kernel witness N = {w1.normalization:.6f}, eps = {w1.epsilon:.6e}")
     for w in (w1, w2):
         detection = evaluate(w, entry)
-        floor = min_product_expectation(w.operator, cfg).best_value
+        floor = min_generic_quadratic(w.operator, cfg).best_value
         s2 = schmidt2_evidence(w, cfg)
         coeffs = schmidt_coefficients(s2.argmin.vector, 3, 3)
         shifted = shift_witness(w, entry, 1e-6)

@@ -24,17 +24,16 @@ from .criteria import (
     EdgeCertificate,
     certify_edge,
     edge_objective,
+    edge_operator,
     is_ppt,
     range_membership,
     realignment_criterion,
 )
 from .exceptions import MatrixFileError, NotApplicableError, NotPSDError
 from .linalg import (
-    HermitianEigen,
     RationalMatrix,
     SvdResult,
     exact_rank,
-    hermitian_eig,
     kernel_projector,
     numeric_rank,
     range_projector,
@@ -45,11 +44,9 @@ from .linalg import (
 )
 from .optimize import (
     OptResult,
-    QuadraticTerm,
     RankTwoFactors,
     SeeSawConfig,
     min_generic_quadratic,
-    min_product_expectation,
     min_schmidt2_expectation,
 )
 from .serialize import read_matrix_file, write_matrix_file
@@ -60,7 +57,6 @@ __all__ = [
     "CatalogEntry",
     "CriterionReport",
     "EdgeCertificate",
-    "HermitianEigen",
     "InvalidStateError",
     "MatrixFileError",
     "NotApplicableError",
@@ -68,7 +64,6 @@ __all__ = [
     "OptResult",
     "ProductVector",
     "ProductVectorFamily",
-    "QuadraticTerm",
     "RankTwoFactors",
     "RationalMatrix",
     "SeeSawConfig",
@@ -76,14 +71,13 @@ __all__ = [
     "Witness",
     "certify_edge",
     "edge_objective",
+    "edge_operator",
     "evaluate",
     "exact_rank",
-    "hermitian_eig",
     "is_ppt",
     "kernel_projector",
     "kernel_witness",
     "min_generic_quadratic",
-    "min_product_expectation",
     "min_schmidt2_expectation",
     "numeric_rank",
     "partial_transpose",

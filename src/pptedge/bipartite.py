@@ -22,6 +22,7 @@ __all__ = [
     "partial_transpose",
     "realign",
     "schmidt_coefficients",
+    "transpose_b",
     "validate_density",
 ]
 
@@ -83,11 +84,15 @@ def validate_density(op: BipartiteOperator, psd_tol: float = 1e-12) -> None:
         raise InvalidStateError(f"density matrix has negative eigenvalue {lo:.3e}")
 
 
+def transpose_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Partial transpose of a (d, d) array of any dtype: entry ((i,k),(j,l)) becomes ((i,l),(j,k))."""
+    d = dim_a * dim_b
+    return m.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 3, 2, 1).reshape(d, d)
+
+
 def partial_transpose(op: BipartiteOperator) -> BipartiteOperator:
     """Transpose party B only: entry ((i,k),(j,l)) of the output is ((i,l),(j,k)) of the input."""
-    da, db = op.dim_a, op.dim_b
-    t = op.tensor4().transpose(0, 3, 2, 1).reshape(op.dim, op.dim)
-    return BipartiteOperator(t, da, db)
+    return BipartiteOperator(transpose_b(op.matrix, op.dim_a, op.dim_b), op.dim_a, op.dim_b)
 
 
 def realign(op: BipartiteOperator) -> np.ndarray:
@@ -104,21 +109,14 @@ def realign(op: BipartiteOperator) -> np.ndarray:
     return op.tensor4().transpose(0, 2, 1, 3).reshape(da * da, da * da)
 
 
-def _phase_fix_first_nonzero(v: np.ndarray) -> np.ndarray:
-    idx = np.flatnonzero(np.abs(v) > 1e-12)
-    if idx.size == 0:
-        return v
-    piv = v[idx[0]]
-    return v * (piv.conjugate() / abs(piv))
-
-
 @dataclass(frozen=True)
 class ProductVector:
     """Pair of single-party factors, stored unit-norm and phase-normalized.
 
-    Construction rescales each factor to unit norm and rotates its phase so
-    the first nonzero component is real and nonnegative; zero factors are
-    rejected. The represented composite state is ``tensor()``.
+    Construction rescales each factor to unit norm and rotates its phase by
+    :func:`~pptedge.linalg.phase_fix`, so the first largest-modulus component
+    is real and nonnegative; zero factors are rejected. The represented
+    composite state is ``tensor()``.
     """
 
     a: np.ndarray
@@ -130,7 +128,7 @@ class ProductVector:
             n = float(np.linalg.norm(v))
             if n == 0.0:
                 raise ValueError(f"factor {name} must be nonzero")
-            v = _phase_fix_first_nonzero(v / n)
+            v = linalg.phase_fix(v / n)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bipartite import BipartiteOperator, ProductVector
+from .bipartite import BipartiteOperator, ProductVector, transpose_b
 from .linalg import RationalMatrix
 
 __all__ = [
@@ -127,10 +127,8 @@ class CatalogEntry:
         """Numerator of the partial transpose, by exact index permutation."""
         if self.exact is None:
             return None
-        d = self.state.dim_b
-        src = self.exact.entries
-        out = [[src[i * d + l][j * d + k] for j in range(d) for l in range(d)] for i in range(d) for k in range(d)]
-        return RationalMatrix.from_rows(out)
+        pt = transpose_b(np.array(self.exact.entries, dtype=object), self.state.dim_a, self.state.dim_b)
+        return RationalMatrix.from_rows(pt.tolist())
 
 
 def operator_and_name(

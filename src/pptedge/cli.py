@@ -11,6 +11,7 @@ applicable, 5 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Callable
@@ -64,7 +65,9 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="pptedge", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pptedge {__version__}")
     common = _common_flags()

@@ -5,7 +5,9 @@ a PPT state is an edge state when no product vector in its range has its
 conjugate partner in the range of the partial transpose. The certification
 minimizes the summed squared residuals of both memberships over all product
 vectors; a strictly positive minimum (found heuristically) is the edge
-evidence, while any restart reaching zero exhibits a violating pair.
+evidence, while any restart reaching zero exhibits a violating pair. The
+objective is the expectation of one Hermitian operator,
+:func:`edge_operator`, the only place the condition is encoded.
 
 A PPT state whose range and partial-transpose range are both the whole space
 is "not edge" exactly: every product vector and its conjugate partner lie in
@@ -24,7 +26,7 @@ from . import linalg
 from .bipartite import BipartiteOperator, ProductVector, partial_transpose, realign
 from .catalog import CatalogEntry, operator_and_name
 from .exceptions import NotApplicableError
-from .optimize import OptResult, QuadraticTerm, SeeSawConfig, min_generic_quadratic
+from .optimize import OptResult, SeeSawConfig, min_generic_quadratic
 
 __all__ = [
     "CriterionReport",
@@ -32,6 +34,7 @@ __all__ = [
     "REALIGNMENT_SLACK",
     "certify_edge",
     "edge_objective",
+    "edge_operator",
     "is_ppt",
     "kernel_dims",
     "ppt_range_projectors",
@@ -155,6 +158,18 @@ def ppt_range_projectors(
     return range_projectors(state, rel_tol)
 
 
+def edge_operator(p_range: np.ndarray, p_pt_range: np.ndarray, dims: tuple[int, int]) -> BipartiteOperator:
+    """(I - P) + (I - Q)^T_B for the range projectors P of rho and Q of rho^T_B.
+
+    Its expectation in a (x) b is the edge objective at (a, b), because
+    <a (x) conj(b)| X |a (x) conj(b)> = <a (x) b| X^T_B |a (x) b>. N times it
+    is the kernel witness before the epsilon shift.
+    """
+    eye = np.eye(dims[0] * dims[1], dtype=complex)
+    q_pt = partial_transpose(BipartiteOperator(eye - p_pt_range, *dims)).matrix
+    return BipartiteOperator(eye - p_range + q_pt, *dims)
+
+
 def edge_objective(state: BipartiteOperator | CatalogEntry, a, b, rel_tol: float = linalg.DEFAULT_RANK_RTOL) -> float:
     """Summed squared range residuals of a product vector and its conjugate partner.
 
@@ -199,9 +214,7 @@ def certify_edge(
             opt=None,
             projectors=(p_range, p_pt),
         )
-    eye = np.eye(op.dim, dtype=complex)
-    terms = [QuadraticTerm(eye - p_range, False), QuadraticTerm(eye - p_pt, True)]
-    result = min_generic_quadratic(terms, cfg, dims=(op.dim_a, op.dim_b))
+    result = min_generic_quadratic(edge_operator(p_range, p_pt, (op.dim_a, op.dim_b)), cfg)
     pv = result.argmin
     r1 = linalg.residual_norm(pv.tensor(), p_range)
     r2 = linalg.residual_norm(pv.conjugate_partner(), p_pt)

@@ -27,13 +27,11 @@ DEFAULT_RANK_RTOL = 1e-9
 __all__ = [
     "DEFAULT_RANK_RTOL",
     "HERMITIAN_ATOL",
-    "HermitianEigen",
     "NotPSDError",
     "RationalMatrix",
     "SvdResult",
     "canonical_eigenbasis",
     "exact_rank",
-    "hermitian_eig",
     "is_hermitian",
     "kernel_projector",
     "numeric_rank",
@@ -124,36 +122,12 @@ def canonical_eigenbasis(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 @dataclass(frozen=True)
-class HermitianEigen:
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``values`` are ascending; ``vectors[:, i]`` is the orthonormal eigenvector
-    for ``values[i]``, phase-fixed so its first largest-modulus component is
-    real and nonnegative.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-
-def hermitian_eig(m) -> HermitianEigen:
-    """Full spectral decomposition of a Hermitian matrix, deterministic output.
-
-    Raises ValueError for non-square or non-Hermitian input.
-    """
-    return HermitianEigen(*canonical_eigenbasis(*np.linalg.eigh(_require_hermitian(m))))
-
-
-@dataclass(frozen=True)
 class SvdResult:
     """Reduced singular value decomposition ``m = u @ diag(values) @ v.conj().T``.
 
     Singular values are descending and nonnegative; ``u`` and ``v`` have
     orthonormal columns with the same deterministic phase and tie-break
-    conventions as :func:`hermitian_eig`.
+    conventions as :func:`canonical_eigenbasis`.
     """
 
     u: np.ndarray

@@ -1,11 +1,15 @@
 """Deterministic multistart see-saw minimization over product and low-rank states.
 
-Both optimizers run one multistart driver that alternates between the two
+Both optimizers minimize <psi|H|psi> for one Hermitian operator H on a
+bipartite space, over unit product vectors or over states of Schmidt rank
+at most 2, and share one multistart loop that alternates between the two
 factors of the ansatz. Each half-step fixes one factor and minimizes the
 quadratic objective exactly over the other, which reduces to the minimal
 eigenvector of a small effective Hermitian operator. The objective value
 therefore never increases from one half-step to the next, and every restart
-converges to a stationary point.
+converges to a stationary point. An objective that also involves the
+conjugate partner a (x) conj(b) is one such H, built by partial transposition
+(see :func:`~pptedge.criteria.edge_operator`).
 
 Determinism contract: restart ``k`` draws its starting point from a dedicated
 generator seeded with ``seed XOR k``, restarts never interact, and the merge
@@ -21,21 +25,19 @@ optimality certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .bipartite import BipartiteOperator, ProductVector, partial_transpose
+from .bipartite import BipartiteOperator, ProductVector
 from .exceptions import NotApplicableError
 from .linalg import HERMITIAN_ATOL, canonical_eigenbasis, is_hermitian, phase_fix
 
 __all__ = [
     "OptResult",
-    "QuadraticTerm",
     "RankTwoFactors",
     "SeeSawConfig",
     "min_generic_quadratic",
-    "min_product_expectation",
     "min_schmidt2_expectation",
 ]
 
@@ -62,14 +64,6 @@ class SeeSawConfig:
             raise ValueError("max_iter must be >= 1")
         if not self.conv_tol > 0.0:
             raise ValueError("conv_tol must be > 0")
-
-
-@dataclass(frozen=True)
-class QuadraticTerm:
-    """One summand <a (x) f(b)| H |a (x) f(b)> with f = conj when ``conjugate_b``."""
-
-    operator: np.ndarray
-    conjugate_b: bool = False
 
 
 @dataclass(frozen=True)
@@ -113,30 +107,22 @@ class OptResult:
         }
 
 
-def _coerce_terms(
-    terms: Sequence[QuadraticTerm | tuple], dims: tuple[int, int] | None
+def _objective(
+    operator: BipartiteOperator | np.ndarray, dims: tuple[int, int] | None
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Sum the terms into one Hermitian H with <ab|H|ab> equal to the objective.
+    """The Hermitian matrix of the objective and its tensor split.
 
-    A conjugated term enters as its partial transpose over B, because
-    <a (x) conj(b)| X |a (x) conj(b)> = <a (x) b| X^T_B |a (x) b>.
+    A :class:`BipartiteOperator` brings its own split unless ``dims`` is
+    given; a plain matrix of square dimension d*d is read as d x d.
     """
-    parsed: list[tuple[np.ndarray, bool]] = []
-    for term in terms:
-        op, flag = (term.operator, term.conjugate_b) if isinstance(term, QuadraticTerm) else term
-        if isinstance(op, BipartiteOperator):
-            if dims is None:
-                dims = (op.dim_a, op.dim_b)
-            op = op.matrix
-        op = np.asarray(op, dtype=complex)
-        if not is_hermitian(op):
-            raise ValueError("objective operators must be Hermitian within 1e-12")
-        parsed.append((op, bool(flag)))
-    if not parsed:
-        raise ValueError("at least one quadratic term is required")
-    d = parsed[0][0].shape[0]
-    if any(op.shape[0] != d for op, _ in parsed):
-        raise ValueError("all terms must act on the same space")
+    if isinstance(operator, BipartiteOperator):
+        if dims is None:
+            dims = (operator.dim_a, operator.dim_b)
+        operator = operator.matrix
+    h = np.asarray(operator, dtype=complex)
+    if not is_hermitian(h):
+        raise ValueError("objective operator must be Hermitian within 1e-12")
+    d = h.shape[0]
     if dims is None:
         root = round(d**0.5)
         if root * root != d:
@@ -144,7 +130,6 @@ def _coerce_terms(
         dims = (root, root)
     if dims[0] * dims[1] != d:
         raise ValueError(f"dims {dims} do not match operator dimension {d}")
-    h = sum(partial_transpose(BipartiteOperator(op, *dims)).matrix if flag else op for op, flag in parsed)
     return h, dims
 
 
@@ -152,8 +137,8 @@ def _batch_min_eigvec(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimal eigenpair for a stack of Hermitian matrices, phase-fixed.
 
     For (rare) degenerate minima the eigenbasis of that matrix is put into
-    :func:`~pptedge.linalg.canonical_eigenbasis` order first, the convention
-    of :func:`~pptedge.linalg.hermitian_eig`, keeping the choice reproducible.
+    :func:`~pptedge.linalg.canonical_eigenbasis` order first, keeping the
+    choice reproducible.
     """
     w, v = np.linalg.eigh(mats)
     vecs = phase_fix(v[..., 0])
@@ -284,32 +269,22 @@ def _multistart(
 
 
 def min_generic_quadratic(
-    terms: Sequence[QuadraticTerm | tuple],
-    cfg: SeeSawConfig = SeeSawConfig(),
-    dims: tuple[int, int] | None = None,
-) -> OptResult:
-    """Minimize a sum of quadratic forms over unit product vectors (a, b).
-
-    Each term contributes <a (x) b| H |a (x) b> or, with ``conjugate_b``,
-    <a (x) conj(b)| H |a (x) conj(b)>. The terms sum to one Hermitian
-    operator, whose contraction with either fixed factor is an effective
-    Hermitian operator for the other, so every half-step is an exact
-    eigenvector update.
-    """
-    h, dims = _coerce_terms(terms, dims)
-    a = _starts(cfg, dims[0], 1)
-    b = np.zeros((cfg.restarts, dims[1], 1), dtype=complex)
-    steps = (_half_step(h, dims, 1), _half_step(h, dims, 0))
-    return _multistart(cfg, a, b, steps, lambda a_best, b_best: ProductVector(a_best[:, 0], b_best[:, 0]))
-
-
-def min_product_expectation(
     operator: BipartiteOperator | np.ndarray,
     cfg: SeeSawConfig = SeeSawConfig(),
     dims: tuple[int, int] | None = None,
 ) -> OptResult:
-    """Heuristic infimum of <ab| H |ab> over unit product vectors."""
-    return min_generic_quadratic([QuadraticTerm(operator, False)], cfg, dims)
+    """Heuristic infimum of <ab| H |ab> over unit product vectors (a, b).
+
+    The contraction of the Hermitian H with either fixed factor is an
+    effective Hermitian operator for the other, so every half-step is an
+    exact eigenvector update. ``dims`` gives the tensor split of a plain
+    matrix (inferred as d x d when omitted).
+    """
+    h, dims = _objective(operator, dims)
+    a = _starts(cfg, dims[0], 1)
+    b = np.zeros((cfg.restarts, dims[1], 1), dtype=complex)
+    steps = (_half_step(h, dims, 1), _half_step(h, dims, 0))
+    return _multistart(cfg, a, b, steps, lambda a_best, b_best: ProductVector(a_best[:, 0], b_best[:, 0]))
 
 
 def min_schmidt2_expectation(
@@ -327,7 +302,7 @@ def min_schmidt2_expectation(
     :class:`NotApplicableError`.
     """
     # a plain matrix is read as 3x3, and one of another size then fails the dims check
-    h, dims = _coerce_terms([QuadraticTerm(operator)], None if isinstance(operator, BipartiteOperator) else (3, 3))
+    h, dims = _objective(operator, None if isinstance(operator, BipartiteOperator) else (3, 3))
     if dims != (3, 3):
         raise NotApplicableError("Schmidt-rank-2 minimization is implemented for 3x3 systems")
     right = _starts(cfg, 3, 2)

@@ -4,7 +4,8 @@ Two constructions are provided. The kernel witness for an edge state delta
 starts from W = N * (P + Q^T_B) with P, Q the kernel projectors of delta and
 its partial transpose and N = 1 / Tr(P + Q^T_B); subtracting the product
 infimum epsilon of W makes the result a witness that detects delta with
-Tr(W1 delta) = -epsilon. As <ab|P + Q^T_B|ab> is the edge objective at (a, b),
+Tr(W1 delta) = -epsilon. P + Q^T_B is :func:`~pptedge.criteria.edge_operator`,
+whose expectation <ab|P + Q^T_B|ab> is the edge objective at (a, b), so
 epsilon is N times the edge certificate's minimum by construction, exactly as
 heuristic as that minimum, and no second see-saw runs.
 
@@ -27,9 +28,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .bipartite import BipartiteOperator, partial_transpose, realign
+from .bipartite import BipartiteOperator, realign
 from .catalog import CatalogEntry, operator_and_name
-from .criteria import REALIGNMENT_SLACK, EdgeCertificate, certify_edge, kernel_dims, ppt_range_projectors
+from .criteria import (
+    REALIGNMENT_SLACK,
+    EdgeCertificate,
+    certify_edge,
+    edge_operator,
+    kernel_dims,
+    ppt_range_projectors,
+)
 from .exceptions import NotApplicableError
 from .optimize import OptResult, SeeSawConfig, min_schmidt2_expectation
 
@@ -48,10 +56,10 @@ class Witness:
     """Hermitian witness operator plus construction metadata.
 
     ``epsilon`` is the heuristic product-state infimum used in the kernel
-    construction and ``opt`` the edge see-saw it comes from, in witness units
-    (values times N); ``normalization`` is the trace normalization N; ``pre_shift``
-    the operator before the epsilon subtraction, when one exists. Shifted
-    witnesses keep their ancestor's metadata and record ``eps_shift``.
+    construction, N times the minimum of the edge certificate it comes from;
+    ``normalization`` is the trace normalization N; ``pre_shift`` the operator
+    before the epsilon subtraction, when one exists. Shifted witnesses keep
+    their ancestor's metadata and record ``eps_shift``.
     """
 
     operator: BipartiteOperator
@@ -62,7 +70,6 @@ class Witness:
     eps_shift: float | None = None
     base_method: str | None = None
     pre_shift: BipartiteOperator | None = None
-    opt: OptResult | None = None
 
     def metadata(self) -> dict:
         meta: dict = {"method": self.method, "source": self.source}
@@ -132,23 +139,18 @@ def kernel_witness(
         edge = certify_edge(state, cfg, rel_tol, ppt_tol)
     p_range, p_pt_range = edge.projectors
     kernel_dim, pt_kernel_dim = _nontrivial_kernel_dims(p_range, p_pt_range)
-    eye = np.eye(op.dim, dtype=complex)
-    q_pt = partial_transpose(BipartiteOperator(eye - p_pt_range, op.dim_a, op.dim_b)).matrix
     # Tr(P + Q^T_B) is the sum of the two kernel dimensions, an exact integer
     norm = 1.0 / (kernel_dim + pt_kernel_dim)
     # exactly Hermitian: both projectors are, and so is a partial transpose of a Hermitian matrix
-    w_delta = norm * (eye - p_range + q_pt)
+    w_delta = norm * edge_operator(p_range, p_pt_range, (op.dim_a, op.dim_b)).matrix
     eps = norm * edge.minimum
-    traces = None if edge.opt.traces is None else tuple(tuple(norm * x for x in t) for t in edge.opt.traces)
-    opt = replace(edge.opt, best_value=eps, restart_values=norm * edge.opt.restart_values, traces=traces)
     return Witness(
-        operator=BipartiteOperator(w_delta - eps * eye, op.dim_a, op.dim_b),
+        operator=BipartiteOperator(w_delta - eps * np.eye(op.dim, dtype=complex), op.dim_a, op.dim_b),
         method="kernel",
         source=name,
         epsilon=eps,
         normalization=norm,
         pre_shift=BipartiteOperator(w_delta, op.dim_a, op.dim_b),
-        opt=opt,
     )
 
 
@@ -190,7 +192,6 @@ def shift_witness(w: Witness, state: BipartiteOperator | CatalogEntry, eps_shift
         base_method=w.method if w.base_method is None else w.base_method,
         eps_shift=eps_shift,
         pre_shift=None,
-        opt=None,
     )
 
 

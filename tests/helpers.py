@@ -89,3 +89,14 @@ def max_entangled_vector(d: int = 3) -> np.ndarray:
     for i in range(d):
         v[i * d + i] = 1.0
     return v / np.sqrt(d)
+
+
+def separable_mixture(rank: int) -> np.ndarray:
+    """Equal mixture of ``rank`` fixed-seed 3x3 product projectors: PPT, with rank and PT rank ``rank``."""
+    rng = np.random.default_rng(2006 + rank)
+    rho = np.zeros((9, 9), dtype=complex)
+    for _ in range(rank):
+        a, b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        rho += np.outer(v, v.conj()) / rank
+    return rho

@@ -22,14 +22,9 @@ from conftest import (
     TRACE_NORM_6_6,
 )
 from pptedge import catalog, linalg
-from pptedge.bipartite import partial_transpose, realign, schmidt_coefficients
+from pptedge.bipartite import BipartiteOperator, partial_transpose, realign, schmidt_coefficients
 from pptedge.criteria import certify_edge, range_membership
-from pptedge.optimize import (
-    QuadraticTerm,
-    SeeSawConfig,
-    min_generic_quadratic,
-    min_product_expectation,
-)
+from pptedge.optimize import SeeSawConfig, min_generic_quadratic
 from pptedge.witness import evaluate, kernel_witness, realignment_witness, schmidt2_evidence, shift_witness
 
 DEFAULT = SeeSawConfig()
@@ -149,7 +144,7 @@ def test_criterion_07_kernel_witness(entries, kernel_witnesses):
         ok &= abs(evaluate(w.pre_shift, entry)) < 1e-10
         ok &= w.epsilon > 0.0
         ok &= abs(evaluate(w, entry) + w.epsilon) < 1e-10
-        floor = min_product_expectation(w.operator, DEFAULT)
+        floor = min_generic_quadratic(w.operator, DEFAULT)
         ok &= floor.best_value >= -1e-7
         details.append(f"{entry.name}: eps {w.epsilon:.3e}")
     _report(7, "kernel witnesses: N = 1/8 and 1/6, detection by -eps, nonnegative on products", ok, "; ".join(details))
@@ -160,7 +155,7 @@ def test_criterion_08_realignment_witness(entries, realignment_witnesses):
     for entry, w, pinned in zip(entries, realignment_witnesses, (TRACE_NORM_5_5, TRACE_NORM_6_6)):
         value = evaluate(w, entry)
         ok &= abs(value - (1.0 - pinned)) < 1e-9
-        floor = min_product_expectation(w.operator, DEFAULT)
+        floor = min_generic_quadratic(w.operator, DEFAULT)
         ok &= floor.best_value >= -1e-7
     _report(8, "realignment witnesses satisfy Tr(W rho) = 1 - trace norm and stay nonnegative on products", ok)
 
@@ -191,25 +186,26 @@ def test_criterion_10_optimizer_properties(entries):
     p_basis = linalg.span_projector(r55.range_basis)
     q_basis = linalg.span_projector(r55.pt_range_basis)
     eye = np.eye(9)
-    res = min_generic_quadratic([QuadraticTerm(eye - p_basis, False), QuadraticTerm(eye - q_basis, True)], trace_cfg)
+    edge_op = eye - p_basis + partial_transpose(BipartiteOperator(eye - q_basis, 3, 3)).matrix
+    res = min_generic_quadratic(edge_op, trace_cfg)
     for trace in res.traces:
         ok &= float(np.diff(np.array(trace)).max(initial=-np.inf)) <= 1e-14
     rng = np.random.default_rng(77)
     for _ in range(3):
-        res = min_product_expectation(helpers.random_hermitian(rng, 9), trace_cfg)
+        res = min_generic_quadratic(helpers.random_hermitian(rng, 9), trace_cfg)
         for trace in res.traces:
             ok &= float(np.diff(np.array(trace)).max(initial=-np.inf)) <= 1e-14
 
     # byte-identical determinism
     h = helpers.random_hermitian(np.random.default_rng(78), 9)
-    ok &= pickle.dumps(min_product_expectation(h, DEFAULT)) == pickle.dumps(min_product_expectation(h, DEFAULT))
+    ok &= pickle.dumps(min_generic_quadratic(h, DEFAULT)) == pickle.dumps(min_generic_quadratic(h, DEFAULT))
 
     # brute-force oracle agreement on 2 (x) 2
     oracle_rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(6):
         h2 = helpers.random_hermitian(oracle_rng, 4)
-        found = min_product_expectation(h2, SeeSawConfig(restarts=50, seed=1), dims=(2, 2)).best_value
+        found = min_generic_quadratic(h2, SeeSawConfig(restarts=50, seed=1), dims=(2, 2)).best_value
         worst = max(worst, abs(found - helpers.brute_force_product_min_2x2(h2)))
     ok &= worst < 1e-4
     _report(10, "monotone half-steps, byte-identical determinism, brute-force agreement", ok, f"oracle gap {worst:.1e}")

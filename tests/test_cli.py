@@ -165,6 +165,17 @@ def test_analyze_runs_edge_see_saw_and_projectors_once(monkeypatch, capsys, name
     assert kernel["epsilon"] == kernel["normalization"] * report["edge"]["minimum"]
 
 
+def test_flags_do_not_leak_into_the_next_main_call(capsys):
+    first = _run_json(capsys, ["analyze", "max_entangled", "--seed", "7", "--tol-eig", "1e-6"])
+    assert first["seed"] == 7 and first["tolerances"]["eig_rel_tol"] == 1e-6
+    second = _run_json(capsys, ["analyze", "max_entangled"])
+    assert second["seed"] == 42 and second["tolerances"]["eig_rel_tol"] == 1e-9
+    shifted = _run_json(capsys, ["witness", "rho_5_5", "--method", "realign", "--shift", "--seed", "7"])
+    assert shifted["metadata"]["eps_shift"] == 1e-6
+    plain = _run_json(capsys, ["witness", "rho_5_5", "--method", "realign"])
+    assert "eps_shift" not in plain["metadata"]
+
+
 def test_certify_edge_cli(capsys):
     payload = _run_json(capsys, ["certify-edge", "separable_sample", *FAST])
     assert payload["verdict"] == "not edge"
@@ -278,17 +289,6 @@ def test_analyze_2x2_skips_schmidt2_search(tmp_path, capsys):
     assert "3x3" in report["witnesses"]["kernel"]["skipped"]
 
 
-def _separable_mixture(rank: int) -> np.ndarray:
-    """Equal mixture of ``rank`` fixed-seed product projectors: PPT, with rank and PT rank ``rank``."""
-    rng = np.random.default_rng(2006 + rank)
-    rho = np.zeros((9, 9), dtype=complex)
-    for _ in range(rank):
-        a, b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        rho += np.outer(v, v.conj()) / rank
-    return rho
-
-
 _SEE_SAW_STATS = {"restart_min", "restart_median", "restart_max", "iterations_max", "all_converged"}
 
 
@@ -317,7 +317,7 @@ def test_certify_edge_rank_deficient_runs_one_see_saw(monkeypatch, capsys):
 
 @pytest.mark.parametrize("rank", [4, 5])
 def test_certify_edge_rank_deficient_separable_reaches_zero(tmp_path, monkeypatch, capsys, rank):
-    rho = _separable_mixture(rank)
+    rho = helpers.separable_mixture(rank)
     assert np.linalg.matrix_rank(rho, tol=1e-10) == rank
     path = _state_file(tmp_path, f"sep{rank}", rho)
     see_saws = _count_calls(monkeypatch, "min_generic_quadratic")

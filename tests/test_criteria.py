@@ -10,8 +10,10 @@ from pptedge.bipartite import BipartiteOperator, ProductVector, realign
 from pptedge.criteria import (
     certify_edge,
     edge_objective,
+    edge_operator,
     is_ppt,
     range_membership,
+    range_projectors,
     realignment_criterion,
 )
 from pptedge.exceptions import NotApplicableError
@@ -139,3 +141,17 @@ def test_range_membership_validation(rho55):
         range_membership(np.zeros(9), rho55, "rho")
     with pytest.raises(ValueError):
         range_membership(np.ones(9), catalog.get("max_mixed"), "rho")
+
+
+@pytest.mark.parametrize("name", ["rho_5_5", "rho_6_6", "separable_rank4"])
+def test_edge_operator_expectation_is_edge_objective(name):
+    state = BipartiteOperator(helpers.separable_mixture(4), 3, 3) if name == "separable_rank4" else catalog.get(name)
+    op = edge_operator(*range_projectors(state), (3, 3))
+    assert op.is_hermitian()
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        a, b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        expectation = float(np.real(np.vdot(v, op.matrix @ v)))
+        assert abs(expectation - edge_objective(state, a, b)) < 1e-12
+

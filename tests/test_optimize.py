@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 import helpers
-from pptedge.bipartite import BipartiteOperator, schmidt_coefficients
-from pptedge.optimize import (
-    OptResult,
-    QuadraticTerm,
-    SeeSawConfig,
-    min_generic_quadratic,
-    min_product_expectation,
-    min_schmidt2_expectation,
-)
+from pptedge.bipartite import BipartiteOperator, partial_transpose, schmidt_coefficients
+from pptedge.optimize import OptResult, SeeSawConfig, min_generic_quadratic, min_schmidt2_expectation
 
 QUICK = SeeSawConfig(restarts=30, max_iter=300, seed=5)
 
@@ -22,37 +15,42 @@ def _product_value(h: np.ndarray, pv) -> float:
     return float(np.real(np.vdot(v, h @ v)))
 
 
+def _plus_conjugate_term(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """h1 + h2^T_B on 3x3, whose expectation in a (x) b is <ab|h1|ab> + <a conj(b)|h2|a conj(b)>."""
+    return h1 + partial_transpose(BipartiteOperator(h2, 3, 3)).matrix
+
+
 def test_identity_objective_is_one():
-    res = min_product_expectation(np.eye(9), QUICK)
+    res = min_generic_quadratic(np.eye(9), QUICK)
     assert abs(res.best_value - 1.0) < 1e-12
 
 
 def test_max_entangled_projector_reaches_zero():
     v = helpers.max_entangled_vector(3)
-    res = min_product_expectation(np.outer(v, v.conj()), QUICK)
+    res = min_generic_quadratic(np.outer(v, v.conj()), QUICK)
     assert res.best_value < 1e-9
 
 
 def test_swap_operator_reaches_zero():
-    res = min_product_expectation(helpers.swap_operator(3), QUICK)
+    res = min_generic_quadratic(helpers.swap_operator(3), QUICK)
     assert -1e-12 <= res.best_value < 1e-9
 
 
 def test_zero_objective():
-    res = min_generic_quadratic([QuadraticTerm(np.zeros((9, 9)))], QUICK)
+    res = min_generic_quadratic(np.zeros((9, 9)), QUICK)
     assert abs(res.best_value) < 1e-12
 
 
 def test_full_space_projector_complement_is_zero():
     # objective norm((I - P) v)^2 with P the full-space projector
-    res = min_generic_quadratic([QuadraticTerm(np.eye(9) - np.eye(9))], QUICK)
+    res = min_generic_quadratic(np.eye(9) - np.eye(9), QUICK)
     assert abs(res.best_value) < 1e-12
 
 
 def test_best_value_is_minimum_of_restarts():
     rng = np.random.default_rng(0)
     h = helpers.random_hermitian(rng, 9)
-    res = min_product_expectation(h, QUICK)
+    res = min_generic_quadratic(h, QUICK)
     assert res.best_value == float(res.restart_values.min())
     assert res.best_index == int(np.argmin(res.restart_values))
 
@@ -60,7 +58,7 @@ def test_best_value_is_minimum_of_restarts():
 def test_argmin_reevaluates_to_best_value():
     rng = np.random.default_rng(1)
     h = helpers.random_hermitian(rng, 9)
-    res = min_product_expectation(h, QUICK)
+    res = min_generic_quadratic(h, QUICK)
     assert abs(_product_value(h, res.argmin) - res.best_value) < 1e-10
 
 
@@ -68,7 +66,7 @@ def test_argmin_reevaluation_with_conjugate_term():
     rng = np.random.default_rng(2)
     h1 = helpers.random_hermitian(rng, 9)
     h2 = helpers.random_hermitian(rng, 9)
-    res = min_generic_quadratic([QuadraticTerm(h1, False), QuadraticTerm(h2, True)], QUICK)
+    res = min_generic_quadratic(_plus_conjugate_term(h1, h2), QUICK)
     pv = res.argmin
     direct = np.real(np.vdot(pv.tensor(), h1 @ pv.tensor()))
     partner = pv.conjugate_partner()
@@ -81,7 +79,7 @@ def test_monotone_half_steps_product():
     cfg = SeeSawConfig(restarts=20, max_iter=200, seed=9, record_trace=True)
     h1 = helpers.random_hermitian(rng, 9)
     h2 = helpers.random_hermitian(rng, 9)
-    res = min_generic_quadratic([QuadraticTerm(h1, False), QuadraticTerm(h2, True)], cfg)
+    res = min_generic_quadratic(_plus_conjugate_term(h1, h2), cfg)
     assert res.traces is not None
     for trace in res.traces:
         diffs = np.diff(np.array(trace))
@@ -100,8 +98,8 @@ def test_monotone_half_steps_schmidt2():
 def test_deterministic_results_byte_identical():
     rng = np.random.default_rng(5)
     h = helpers.random_hermitian(rng, 9)
-    first = min_product_expectation(h, QUICK)
-    second = min_product_expectation(h, QUICK)
+    first = min_generic_quadratic(h, QUICK)
+    second = min_generic_quadratic(h, QUICK)
     assert pickle.dumps(first) == pickle.dumps(second)
     s_first = min_schmidt2_expectation(h, QUICK)
     s_second = min_schmidt2_expectation(h, QUICK)
@@ -113,7 +111,7 @@ def test_brute_force_oracle_agreement_2x2():
     cfg = SeeSawConfig(restarts=50, max_iter=300, seed=1)
     for trial in range(6):
         h = helpers.random_hermitian(rng, 4)
-        res = min_product_expectation(h, cfg, dims=(2, 2))
+        res = min_generic_quadratic(h, cfg, dims=(2, 2))
         oracle = helpers.brute_force_product_min_2x2(h)
         assert abs(res.best_value - oracle) < 1e-4, f"trial {trial}"
 
@@ -143,7 +141,7 @@ def test_schmidt2_feasibility():
 
 
 def test_restart_metadata_shapes():
-    res = min_product_expectation(np.eye(9), SeeSawConfig(restarts=7, max_iter=50, seed=2))
+    res = min_generic_quadratic(np.eye(9), SeeSawConfig(restarts=7, max_iter=50, seed=2))
     assert len(res.restart_values) == 7
     assert len(res.iterations_used) == 7
     assert len(res.converged) == 7
@@ -166,22 +164,22 @@ def test_rejects_non_hermitian():
     bad = np.zeros((9, 9))
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
-        min_product_expectation(bad, QUICK)
+        min_generic_quadratic(bad, QUICK)
     with pytest.raises(ValueError):
         min_schmidt2_expectation(bad, QUICK)
 
 
 def test_dims_inference_and_validation():
     op = BipartiteOperator(np.eye(6), 2, 3)
-    res = min_product_expectation(op, SeeSawConfig(restarts=4, max_iter=30, seed=3))
+    res = min_generic_quadratic(op, SeeSawConfig(restarts=4, max_iter=30, seed=3))
     assert abs(res.best_value - 1.0) < 1e-12
     assert res.argmin.a.size == 2 and res.argmin.b.size == 3
     with pytest.raises(ValueError):
-        min_product_expectation(np.eye(6), QUICK)  # 6 is not a perfect square, dims required
+        min_generic_quadratic(np.eye(6), QUICK)  # 6 is not a perfect square, dims required
     with pytest.raises(ValueError):
-        min_product_expectation(np.eye(9), QUICK, dims=(2, 3))
+        min_generic_quadratic(np.eye(9), QUICK, dims=(2, 3))
     with pytest.raises(ValueError):
-        min_generic_quadratic([], QUICK)
+        min_generic_quadratic(np.eye(9)[:3], QUICK)
     with pytest.raises(ValueError):
         min_schmidt2_expectation(np.eye(6), QUICK)
 
@@ -190,19 +188,17 @@ def _argmin_bits(argmin) -> tuple[bytes, ...]:
     return tuple(np.asarray(x).tobytes() for x in vars(argmin).values())
 
 
-def _edge_terms_5_5() -> list[QuadraticTerm]:
+def _edge_operator_5_5() -> np.ndarray:
     from pptedge import catalog, linalg
 
     entry = catalog.rho_5_5()
     eye = np.eye(9)
-    return [
-        QuadraticTerm(eye - linalg.span_projector(entry.range_basis), False),
-        QuadraticTerm(eye - linalg.span_projector(entry.pt_range_basis), True),
-    ]
+    p_range, p_pt = (linalg.span_projector(basis) for basis in (entry.range_basis, entry.pt_range_basis))
+    return _plus_conjugate_term(eye - p_range, eye - p_pt)
 
 
 _BATCH_OBJECTIVES = {
-    "product": lambda cfg: min_generic_quadratic(_edge_terms_5_5(), cfg),
+    "product": lambda cfg: min_generic_quadratic(_edge_operator_5_5(), cfg),
     "schmidt2": lambda cfg: min_schmidt2_expectation(helpers.random_hermitian(np.random.default_rng(8), 9), cfg),
 }
 _BATCH_REFERENCE: dict[str, OptResult] = {}

@@ -4,9 +4,10 @@ import pytest
 import helpers
 from conftest import EPS_5_5, EPS_6_6, TRACE_NORM_5_5, TRACE_NORM_6_6
 from pptedge import catalog, linalg
+from pptedge.criteria import certify_edge, edge_operator
 from pptedge.bipartite import BipartiteOperator, realign
 from pptedge.exceptions import NotApplicableError
-from pptedge.optimize import SeeSawConfig, min_product_expectation
+from pptedge.optimize import SeeSawConfig, min_generic_quadratic
 from pptedge.witness import (
     Witness,
     evaluate,
@@ -58,7 +59,7 @@ def test_kernel_witness_detects_source(rho55, rho66, w1_55, w1_66):
 
 def test_kernel_witness_nonnegative_on_products(w1_55, w1_66, fast_cfg):
     for w in (w1_55, w1_66):
-        floor = min_product_expectation(w.operator, fast_cfg)
+        floor = min_generic_quadratic(w.operator, fast_cfg)
         assert floor.best_value >= -1e-7
 
 
@@ -67,9 +68,12 @@ def test_kernel_witness_requires_rank_deficiency(fast_cfg):
         kernel_witness(catalog.get("max_mixed"), fast_cfg)
 
 
-def test_kernel_witness_restart_diagnostics(w1_55):
-    assert w1_55.opt is not None
-    assert w1_55.opt.best_value == w1_55.epsilon
+def test_kernel_witness_is_normalized_edge_operator(rho55, fast_cfg):
+    cert = certify_edge(rho55, fast_cfg)
+    w = kernel_witness(rho55, fast_cfg, edge=cert)
+    expected = w.normalization * edge_operator(*cert.projectors, (3, 3)).matrix
+    assert w.pre_shift.matrix.tobytes() == expected.tobytes()
+    assert w.epsilon == w.normalization * cert.minimum
 
 
 def test_kernel_witness_epsilon_seed_stability(rho55):
@@ -109,7 +113,7 @@ def test_realignment_witness_hermitization_preserves_evaluation(rho55):
 
 def test_realignment_witness_nonnegative_on_products(w2_55, w2_66, fast_cfg):
     for w in (w2_55, w2_66):
-        floor = min_product_expectation(w.operator, fast_cfg)
+        floor = min_generic_quadratic(w.operator, fast_cfg)
         assert floor.best_value >= -1e-7
 
 
