@@ -17,6 +17,7 @@ variants that barely detect the source state.
 
 from pptedge import (
     SeeSawConfig,
+    certify_edge,
     evaluate,
     kernel_witness,
     min_generic_quadratic,
@@ -32,7 +33,7 @@ cfg = SeeSawConfig(restarts=80, seed=42)
 
 for entry in (rho_5_5(), rho_6_6()):
     print("=" * 72)
-    w1 = kernel_witness(entry, cfg)
+    w1 = kernel_witness(certify_edge(entry, cfg))
     w2 = realignment_witness(entry)
     print(f"{entry.name}: kernel witness N = {w1.normalization:.6f}, eps = {w1.epsilon:.6e}")
     for w in (w1, w2):

@@ -29,12 +29,11 @@ from .criteria import (
     range_membership,
     realignment_criterion,
 )
-from .exceptions import MatrixFileError, NotApplicableError, NotPSDError
+from .exceptions import MatrixFileError, NotApplicableError
 from .linalg import (
     RationalMatrix,
     SvdResult,
     exact_rank,
-    kernel_projector,
     numeric_rank,
     range_projector,
     residual_norm,
@@ -60,7 +59,6 @@ __all__ = [
     "InvalidStateError",
     "MatrixFileError",
     "NotApplicableError",
-    "NotPSDError",
     "OptResult",
     "ProductVector",
     "ProductVectorFamily",
@@ -75,7 +73,6 @@ __all__ = [
     "evaluate",
     "exact_rank",
     "is_ppt",
-    "kernel_projector",
     "kernel_witness",
     "min_generic_quadratic",
     "min_schmidt2_expectation",

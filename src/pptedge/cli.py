@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, catalog, criteria, linalg, witness as witness_mod
 from .bipartite import BipartiteOperator, partial_transpose, schmidt_coefficients, validate_density
-from .exceptions import InvalidStateError, MatrixFileError, NotApplicableError, NotPSDError
+from .exceptions import InvalidStateError, MatrixFileError, NotApplicableError
 from .optimize import SeeSawConfig, min_schmidt2_expectation
 from .serialize import dumps_canonical, matrix_payload, read_matrix_file
 
@@ -142,17 +142,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _spectral_rank(matrix, rel_tol: float) -> int:
-    """Rank by eigenvalue magnitude; tolerates indefinite matrices (non-PPT partial transposes)."""
-    w = np.abs(np.linalg.eigvalsh(matrix))
-    return int(np.sum(w > rel_tol * w.max()))
-
-
 def _rank_block(state, args: argparse.Namespace) -> dict:
     op, _ = catalog.operator_and_name(state)
     block = {
-        "rank": _spectral_rank(op.matrix, args.tol_eig),
-        "pt_rank": _spectral_rank(partial_transpose(op).matrix, args.tol_eig),
+        "rank": linalg.numeric_rank(op.matrix, args.tol_eig),
+        "pt_rank": linalg.numeric_rank(partial_transpose(op).matrix, args.tol_eig),
     }
     if isinstance(state, catalog.CatalogEntry) and state.exact is not None:
         block["exact_rank"] = linalg.exact_rank(state.exact)
@@ -193,7 +187,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report["edge"] = edge.to_dict()
     summaries = {}
     try:
-        w1 = witness_mod.kernel_witness(state, cfg, rel_tol=args.tol_eig, edge=edge)
+        w1 = witness_mod.kernel_witness(edge)
         summaries["kernel"] = _witness_summary(w1, state, cfg)
     except NotApplicableError as exc:
         w1 = None
@@ -217,7 +211,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     state = _load_state(args.input, args.tol_pos)
     cfg = _config(args)
     if args.method == "kernel":
-        w = witness_mod.kernel_witness(state, cfg, rel_tol=args.tol_eig, ppt_tol=args.tol_pos)
+        w = witness_mod.kernel_witness(criteria.certify_edge(state, cfg, rel_tol=args.tol_eig, ppt_tol=args.tol_pos))
     else:
         w = witness_mod.realignment_witness(state)
     if args.shift is not None:
@@ -275,10 +269,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (MatrixFileError, FileNotFoundError) as exc:
+    except (MatrixFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvalidStateError, NotPSDError) as exc:
+    except InvalidStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_STATE
     except NotApplicableError as exc:

@@ -12,8 +12,13 @@ objective is the expectation of one Hermitian operator,
 A PPT state whose range and partial-transpose range are both the whole space
 is "not edge" exactly: every product vector and its conjugate partner lie in
 the full space, so the objective is identically zero and no see-saw runs.
-The full-rank decision is the same ``rel_tol`` rank decision that builds the
-range projectors.
+
+Each decision is made once. Positivity of the partial transpose is decided
+only by :func:`is_ppt` at its ``tol``; ranks, kernels and range projectors
+only by the ``rel_tol`` rule of :func:`~pptedge.linalg.range_projector`,
+which applies no positivity check of its own. :func:`certify_edge` makes
+both decisions, and its :class:`EdgeCertificate` carries the projectors to
+every later consumer, such as :func:`~pptedge.witness.kernel_witness`.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ __all__ = [
     "edge_operator",
     "is_ppt",
     "kernel_dims",
-    "ppt_range_projectors",
     "range_membership",
     "realignment_criterion",
 ]
@@ -148,16 +152,6 @@ def realignment_criterion(state: BipartiteOperator | CatalogEntry) -> CriterionR
     return CriterionReport("realignment", verdict, evidence, REALIGNMENT_SLACK)
 
 
-def ppt_range_projectors(
-    state: BipartiteOperator | CatalogEntry, rel_tol: float = linalg.DEFAULT_RANK_RTOL, ppt_tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`range_projectors` of a PPT state; a non-PPT state raises :class:`NotApplicableError`."""
-    ppt = is_ppt(state, ppt_tol)
-    if ppt.verdict != "pass":
-        raise NotApplicableError(f"state is not PPT: min partial-transpose eigenvalue {ppt.evidence:.3e}")
-    return range_projectors(state, rel_tol)
-
-
 def edge_operator(p_range: np.ndarray, p_pt_range: np.ndarray, dims: tuple[int, int]) -> BipartiteOperator:
     """(I - P) + (I - Q)^T_B for the range projectors P of rho and Q of rho^T_B.
 
@@ -193,15 +187,19 @@ def certify_edge(
 ) -> EdgeCertificate:
     """Minimize the edge objective over product vectors and classify the result.
 
-    Only PPT states are eligible (an edge state is PPT by definition); a
-    non-PPT input raises :class:`NotApplicableError`. When both kernels are
-    trivial the verdict is "not edge" exactly and no see-saw runs. Otherwise
-    the verdict is "edge (heuristic)" when every restart stays above the
-    positive threshold, "not edge" when some restart reaches (numerical)
-    zero, and "inconclusive" in between.
+    Only states that pass :func:`is_ppt` at ``ppt_tol`` are eligible (an
+    edge state is PPT by definition); any other input raises
+    :class:`NotApplicableError`. When both kernels are trivial the verdict
+    is "not edge" exactly and no see-saw runs. Otherwise the verdict is
+    "edge (heuristic)" when every restart stays above the positive
+    threshold, "not edge" when some restart reaches (numerical) zero, and
+    "inconclusive" in between.
     """
     op, name = operator_and_name(state)
-    p_range, p_pt = ppt_range_projectors(state, rel_tol, ppt_tol)
+    ppt = is_ppt(state, ppt_tol)
+    if ppt.verdict != "pass":
+        raise NotApplicableError(f"state is not PPT: min partial-transpose eigenvalue {ppt.evidence:.3e}")
+    p_range, p_pt = range_projectors(state, rel_tol)
     if kernel_dims(p_range, p_pt) == (0, 0):
         # every product vector and its partner lie in the full space, e0 (x) e0 among them
         return EdgeCertificate(

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NotPSDError(ValueError):
-    """A matrix required to be positive semidefinite has a genuinely negative eigenvalue."""
-
-
 class InvalidStateError(ValueError):
     """An operator does not satisfy the density-matrix requirements (Hermitian, unit trace, PSD)."""
 

