@@ -244,18 +244,25 @@ def reference_states() -> tuple[CatalogEntry, ...]:
     return (_max_mixed(), _max_entangled(), _separable_sample())
 
 
-CATALOG_NAMES = ("rho_5_5", "rho_6_6", "max_mixed", "max_entangled", "separable_sample")
+# name -> builder, in catalog order; ``get`` builds only the named entry
+_BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
+    "rho_5_5": rho_5_5,
+    "rho_6_6": rho_6_6,
+    "max_mixed": _max_mixed,
+    "max_entangled": _max_entangled,
+    "separable_sample": _separable_sample,
+}
+CATALOG_NAMES = tuple(_BUILDERS)
 
 
 def entries() -> tuple[CatalogEntry, ...]:
-    return (rho_5_5(), rho_6_6()) + reference_states()
+    return tuple(build() for build in _BUILDERS.values())
 
 
 def get(name: str) -> CatalogEntry:
-    for entry in entries():
-        if entry.name == name:
-            return entry
-    raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    if name not in CATALOG_NAMES:
+        raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    return _BUILDERS[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ _RELATIVE = _bounded(float, lambda x: 0.0 < x < 1.0, "finite and in (0, 1)")
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_SEED, default=42, help="optimizer seed (default 42)")
-    common.add_argument("--restarts", type=_COUNT, default=200, help="see-saw restarts (default 200)")
+    common.add_argument("--restarts", type=_COUNT, default=200, help="see-saw restart cap (default 200)")
     common.add_argument("--max-iter", type=_COUNT, default=500, help="see-saw sweeps per restart (default 500)")
     common.add_argument("--conv-tol", type=_POSITIVE, default=1e-12, help="see-saw convergence tolerance (default 1e-12)")
     common.add_argument("--tol-eig", type=_RELATIVE, default=1e-9, help="relative rank threshold (default 1e-9)")

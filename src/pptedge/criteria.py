@@ -73,8 +73,9 @@ class CriterionReport:
 class EdgeCertificate:
     """Edge certification record.
 
-    ``minimum`` is the smallest edge objective found over all restarts; it
-    equals ``residual_range**2 + residual_pt_range**2`` at ``argmin``.
+    ``minimum`` is the smallest edge objective found over the restarts that
+    ran (see the stop rule in :mod:`~pptedge.optimize`); it equals
+    ``residual_range**2 + residual_pt_range**2`` at ``argmin``.
     ``projectors`` holds the range projectors of the state and of its
     partial transpose that define the objective. ``opt`` is the see-saw run
     the minimum comes from; it is ``None`` when both ranges are the whole
@@ -95,7 +96,7 @@ class EdgeCertificate:
     projectors: tuple[np.ndarray, np.ndarray]
 
     def to_dict(self) -> dict:
-        """Report block; the see-saw statistics appear only when a see-saw ran."""
+        """Report block; the see-saw statistics, over the restarts that ran, appear only when a see-saw ran."""
         out = {
             "state": self.state,
             "verdict": self.verdict,
@@ -105,6 +106,7 @@ class EdgeCertificate:
         }
         if self.opt is not None:
             out.update(
+                restarts_run=len(self.opt.restart_values),
                 restart_min=float(np.min(self.opt.restart_values)),
                 restart_median=float(np.median(self.opt.restart_values)),
                 restart_max=float(np.max(self.opt.restart_values)),
@@ -191,7 +193,7 @@ def certify_edge(
     edge state is PPT by definition); any other input raises
     :class:`NotApplicableError`. When both kernels are trivial the verdict
     is "not edge" exactly and no see-saw runs. Otherwise the verdict is
-    "edge (heuristic)" when every restart stays above the positive
+    "edge (heuristic)" when every restart that ran stays above the positive
     threshold, "not edge" when some restart reaches (numerical) zero, and
     "inconclusive" in between.
     """

@@ -11,15 +11,20 @@ converges to a stationary point. An objective that also involves the
 conjugate partner a (x) conj(b) is one such H, built by partial transposition
 (see :func:`~pptedge.criteria.edge_operator`).
 
-Determinism contract: restart ``k`` draws its starting point from a dedicated
-generator seeded with ``seed XOR k``, restarts never interact, and the merge
-of restart results is a plain minimum with a first-index tie-break. Every
-array operation acts on each restart at a fixed shape, so restart ``k`` gives
-bit-identical results in a batch of any size; a converged restart simply
-leaves the batch. Running the same inputs twice (or scheduling restarts in
-any order) gives identical results. The reported best value is a heuristic
-upper bound on the true infimum: multistart see-saw carries no global
-optimality certificate.
+Determinism contract: restart ``r`` draws its starting point from its own
+generator, ``np.random.default_rng([seed, r])``, so different seeds draw
+different starts, and restarts never interact. Every array operation acts on
+each restart at a fixed shape, so restart ``r`` gives bit-identical results in
+a batch of any size; a converged restart simply leaves the batch. How many
+restarts run is decided in index order: they run in rounds of 25, and the run
+stops after the first round in which at least 3 restarts lie within
+``max(1e-9 * |best|, conv_tol)`` of the best value so far, or at the
+``restarts`` cap. The restarts that run under a smaller cap are therefore a
+prefix of those that run under a larger one, and the merge of restart results
+is a plain minimum with a first-index tie-break. Running the same inputs
+twice gives identical results. The reported best value is a heuristic upper
+bound on the true infimum: multistart see-saw carries no global optimality
+certificate.
 """
 
 from __future__ import annotations
@@ -46,8 +51,11 @@ __all__ = [
 class SeeSawConfig:
     """Multistart see-saw settings.
 
-    ``conv_tol`` is the absolute objective decrease over one full sweep below
-    which a restart counts as converged; ``record_trace`` additionally stores
+    ``restarts`` caps the number of restarts; fewer run when the best basin
+    is reached early (see the module docstring). ``conv_tol`` is the absolute
+    objective decrease over one full sweep below which a restart counts as
+    converged, and also the floor of the tolerance within which restarts
+    count as reaching the best value; ``record_trace`` additionally stores
     the per-half-step objective values of every restart.
     """
 
@@ -83,8 +91,10 @@ class RankTwoFactors:
 class OptResult:
     """Outcome of a multistart run.
 
-    ``best_value`` is the minimum of ``restart_values``; ``best_index`` the
-    first restart attaining it; ``argmin`` re-evaluates to ``best_value``.
+    ``restart_values``, ``iterations_used`` and ``converged`` cover the
+    restarts that ran, in index order. ``best_value`` is the minimum of
+    ``restart_values``; ``best_index`` the first restart attaining it;
+    ``argmin`` re-evaluates to ``best_value``.
     ``traces`` (only with ``record_trace``) holds per-restart tuples of the
     objective after every half-step, which are non-increasing by construction.
     """
@@ -140,13 +150,13 @@ def _batch_min_eigvec(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., 0], vecs
 
 
-def _starts(cfg: SeeSawConfig, dim: int, rank: int) -> np.ndarray:
-    """Unit-norm complex Gaussian (dim x rank) factor per restart; restart r draws from seed ^ r."""
-    out = np.empty((cfg.restarts, dim, rank), dtype=complex)
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed ^ r)
+def _starts(seed: int, indices: range, dim: int, rank: int) -> np.ndarray:
+    """Unit-norm complex Gaussian (dim x rank) factor per restart; restart r draws from default_rng([seed, r])."""
+    out = np.empty((len(indices), dim, rank), dtype=complex)
+    for i, r in enumerate(indices):
+        rng = np.random.default_rng([seed, r])
         z = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
-        out[r] = z.T / np.linalg.norm(z)
+        out[i] = z.T / np.linalg.norm(z)
     return out
 
 
@@ -212,26 +222,32 @@ def _half_step(h: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
     return step
 
 
-def _multistart(
+# Restarts run in index order, in rounds of _ROUND, until _HITS of them lie
+# within max(_BASIN_RTOL * |best|, conv_tol) of the best value so far.
+_ROUND = 25
+_HITS = 3
+_BASIN_RTOL = 1e-9
+
+
+def _see_saw(
     cfg: SeeSawConfig,
     fixed: np.ndarray,
     free: np.ndarray,
     half_steps: tuple[Callable, Callable],
-    argmin: Callable[[np.ndarray, np.ndarray], ProductVector | RankTwoFactors],
-) -> OptResult:
-    """Alternate the two half-steps on every restart until its sweep stops improving.
+    traces: list[list[float]] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alternate the two half-steps on every restart of one round until its sweep stops improving.
 
     ``fixed`` holds the starting factors the first half-step keeps fixed,
-    ``free`` the factors it replaces; the second half-step swaps the roles.
-    A restart leaves the batch once one full sweep lowers its value by less
-    than ``conv_tol``. ``argmin`` builds the reported point from the best
-    restart's (fixed, free) pair.
+    ``free`` the factors it replaces; the second half-step swaps the roles,
+    and both arrays end holding each restart's final pair. A restart leaves
+    the batch once one full sweep lowers its value by less than
+    ``conv_tol``. Returns the values, sweep counts and convergence flags.
     """
-    n = cfg.restarts
+    n = fixed.shape[0]
     values = np.full(n, np.inf)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
-    traces: list[list[float]] | None = [[] for _ in range(n)] if cfg.record_trace else None
     active = np.arange(n)
     for _ in range(cfg.max_iter):
         if active.size == 0:
@@ -247,15 +263,51 @@ def _multistart(
         iterations[active] += 1
         converged[active[done]] = True
         active = active[~done]
+    return values, iterations, converged
 
-    best = int(np.argmin(values))
+
+def _multistart(
+    cfg: SeeSawConfig,
+    rows: tuple[int, int],
+    rank: int,
+    half_steps: tuple[Callable, Callable],
+    argmin: Callable[[np.ndarray, np.ndarray], ProductVector | RankTwoFactors],
+) -> OptResult:
+    """Run see-saw rounds until the best basin has been reached ``_HITS`` times, or the cap.
+
+    Each restart starts from a (rows[0] x rank) factor that the first
+    half-step keeps fixed, and that half-step replaces a (rows[1] x rank)
+    one. Only the best restart's pair is kept across rounds; ``argmin``
+    builds the reported point from it.
+    """
+    values = np.empty(0)
+    iterations = np.empty(0, dtype=int)
+    converged = np.empty(0, dtype=bool)
+    traces: list[list[float]] | None = [] if cfg.record_trace else None
+    best_value, best_index, best_pair = np.inf, 0, None
+    for lo in range(0, cfg.restarts, _ROUND):
+        indices = range(lo, min(lo + _ROUND, cfg.restarts))
+        fixed = _starts(cfg.seed, indices, rows[0], rank)
+        free = np.zeros((len(indices), rows[1], rank), dtype=complex)
+        round_traces = [[] for _ in indices] if traces is not None else None
+        v, it, conv = _see_saw(cfg, fixed, free, half_steps, round_traces)
+        k = int(np.argmin(v))
+        if best_pair is None or v[k] < best_value:
+            best_value, best_index, best_pair = float(v[k]), lo + k, (fixed[k], free[k])
+        values = np.concatenate((values, v))
+        iterations = np.concatenate((iterations, it))
+        converged = np.concatenate((converged, conv))
+        if traces is not None:
+            traces.extend(round_traces)
+        if np.count_nonzero(values - best_value <= max(_BASIN_RTOL * abs(best_value), cfg.conv_tol)) >= _HITS:
+            break
     return OptResult(
-        best_value=float(values[best]),
-        argmin=argmin(fixed[best], free[best]),
+        best_value=best_value,
+        argmin=argmin(*best_pair),
         restart_values=values,
         iterations_used=iterations,
         converged=converged,
-        best_index=best,
+        best_index=best_index,
         traces=tuple(tuple(t) for t in traces) if traces is not None else None,
     )
 
@@ -273,10 +325,8 @@ def min_generic_quadratic(
     matrix (inferred as d x d when omitted).
     """
     h, dims = _objective(operator, dims)
-    a = _starts(cfg, dims[0], 1)
-    b = np.zeros((cfg.restarts, dims[1], 1), dtype=complex)
     steps = (_half_step(h, dims, 1), _half_step(h, dims, 0))
-    return _multistart(cfg, a, b, steps, lambda a_best, b_best: ProductVector(a_best[:, 0], b_best[:, 0]))
+    return _multistart(cfg, dims, 1, steps, lambda a_best, b_best: ProductVector(a_best[:, 0], b_best[:, 0]))
 
 
 def min_schmidt2_expectation(
@@ -297,7 +347,6 @@ def min_schmidt2_expectation(
     h, dims = _objective(operator, None if isinstance(operator, BipartiteOperator) else (3, 3))
     if dims != (3, 3):
         raise NotApplicableError("Schmidt-rank-2 minimization is implemented for 3x3 systems")
-    right = _starts(cfg, 3, 2)
-    left = np.zeros((cfg.restarts, 3, 2), dtype=complex)
     steps = (_half_step(h, dims, 0), _half_step(h, dims, 1))
-    return _multistart(cfg, right, left, steps, lambda r_best, l_best: RankTwoFactors(l_best.copy(), r_best.T.copy()))
+    # the first half-step keeps the right factor (party B) fixed and replaces the left one
+    return _multistart(cfg, dims[::-1], 2, steps, lambda r_best, l_best: RankTwoFactors(l_best.copy(), r_best.T.copy()))

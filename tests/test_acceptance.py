@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete. Optimizer-dependent criteria use the default
-configuration (200 restarts, seed 42) unless the criterion itself prescribes
+configuration (a cap of 200 restarts, seed 42) unless the criterion itself prescribes
 other seeds.
 """
 

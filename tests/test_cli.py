@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from conftest import TRACE_NORM_6_6
+from conftest import EDGE_MIN_5_5, TRACE_NORM_6_6
 from pptedge import catalog, criteria, optimize
 from pptedge.bipartite import BipartiteOperator
 from pptedge.cli import main
@@ -46,6 +46,14 @@ def test_analyze_rho_5_5(capsys):
     assert report["witnesses"]["normalized_distance"] > 0.0
     assert report["seed"] == 42
     assert report["tolerances"]["eig_rel_tol"] == 1e-9
+
+
+def test_analyze_seeds_draw_different_minima(capsys):
+    edges = [_run_json(capsys, ["analyze", "rho_5_5", "--seed", str(seed)])["edge"] for seed in (1, 2)]
+    minima = [edge["minimum"] for edge in edges]
+    assert json.dumps(minima[0]) != json.dumps(minima[1])
+    assert all(abs(m - EDGE_MIN_5_5) < 0.2 * EDGE_MIN_5_5 for m in minima)
+    assert all(edge["restarts_run"] < 200 for edge in edges)
 
 
 def test_analyze_max_mixed_skips_witnesses(capsys):
@@ -336,7 +344,7 @@ def test_analyze_2x2_skips_schmidt2_search(tmp_path, capsys):
     assert "3x3" in report["witnesses"]["kernel"]["skipped"]
 
 
-_SEE_SAW_STATS = {"restart_min", "restart_median", "restart_max", "iterations_max", "all_converged"}
+_SEE_SAW_STATS = {"restarts_run", "restart_min", "restart_median", "restart_max", "iterations_max", "all_converged"}
 
 
 @pytest.mark.parametrize("name", ["max_mixed", "separable_sample", "noisy_rho_5_5"])

@@ -188,17 +188,17 @@ def _argmin_bits(argmin) -> tuple[bytes, ...]:
     return tuple(np.asarray(x).tobytes() for x in vars(argmin).values())
 
 
-def _edge_operator_5_5() -> np.ndarray:
+def _catalog_edge_operator(name: str) -> np.ndarray:
     from pptedge import catalog, linalg
 
-    entry = catalog.rho_5_5()
+    entry = catalog.get(name)
     eye = np.eye(9)
     p_range, p_pt = (linalg.span_projector(basis) for basis in (entry.range_basis, entry.pt_range_basis))
     return _plus_conjugate_term(eye - p_range, eye - p_pt)
 
 
 _BATCH_OBJECTIVES = {
-    "product": lambda cfg: min_generic_quadratic(_edge_operator_5_5(), cfg),
+    "product": lambda cfg: min_generic_quadratic(_catalog_edge_operator("rho_5_5"), cfg),
     "schmidt2": lambda cfg: min_schmidt2_expectation(helpers.random_hermitian(np.random.default_rng(8), 9), cfg),
 }
 _BATCH_REFERENCE: dict[str, OptResult] = {}
@@ -214,10 +214,70 @@ def test_restart_is_bit_identical_in_any_batch(objective, batch):
     res = run(SeeSawConfig(restarts=batch, seed=42))
     assert res.restart_values.tobytes() == ref.restart_values[:batch].tobytes()
     assert res.iterations_used.tobytes() == ref.iterations_used[:batch].tobytes()
-    # restart k of seed s is restart 0 of seed s ^ k, so a batch of one reproduces the best restart alone
-    alone = run(SeeSawConfig(restarts=1, seed=42 ^ res.best_index))
-    assert alone.restart_values[0] == res.best_value
-    assert _argmin_bits(alone.argmin) == _argmin_bits(res.argmin)
+    # a smaller cap runs a prefix of the restarts, so a cap ending at the best restart reproduces it
+    prefix = run(SeeSawConfig(restarts=res.best_index + 1, seed=42))
+    assert prefix.best_value == res.best_value
+    assert _argmin_bits(prefix.argmin) == _argmin_bits(res.argmin)
+
+
+def test_seeds_draw_different_starts():
+    from pptedge.optimize import _starts
+
+    for dim, rank in ((3, 1), (3, 2)):
+        draws = {seed: {row.tobytes() for row in _starts(seed, range(200), dim, rank)} for seed in (1, 2, 3, 4, 5)}
+        assert all(len(rows) == 200 for rows in draws.values())
+        for s in draws:
+            for t in draws:
+                assert s == t or draws[s].isdisjoint(draws[t]), (dim, rank, s, t)
+
+
+def _hits(values: np.ndarray, conv_tol: float) -> int:
+    """Values within the stop rule's tolerance of their minimum, computed independently of `_multistart`."""
+    best = float(values.min())
+    return int(np.sum(values - best <= max(1e-9 * abs(best), conv_tol)))
+
+
+_STOP_RULE_OPERATORS = {
+    "edge_5_5": lambda: _catalog_edge_operator("rho_5_5"),
+    "edge_6_6": lambda: _catalog_edge_operator("rho_6_6"),
+    **{f"random_{k}": (lambda k=k: helpers.random_hermitian(np.random.default_rng(100 + k), 9)) for k in range(3)},
+}
+_MINIMIZERS = {"product": min_generic_quadratic, "schmidt2": min_schmidt2_expectation}
+
+
+# 8 sweeps leave most restarts short of their basin, so some runs take several rounds or reach the cap
+@pytest.mark.parametrize("max_iter", [8, 500])
+@pytest.mark.parametrize("cap", [7, 25, 60, 200])
+@pytest.mark.parametrize("objective", sorted(_MINIMIZERS))
+@pytest.mark.parametrize("operator", sorted(_STOP_RULE_OPERATORS))
+def test_stop_rule(operator, objective, cap, max_iter):
+    cfg = SeeSawConfig(restarts=cap, max_iter=max_iter, seed=3)
+    res = _MINIMIZERS[objective](_STOP_RULE_OPERATORS[operator](), cfg)
+    values = res.restart_values
+    n = len(values)
+    assert len(res.iterations_used) == len(res.converged) == n
+    assert n == cap or (n < cap and n % 25 == 0)
+    if n < cap:
+        assert _hits(values, cfg.conv_tol) >= 3
+    before_last_round = values[: (n - 1) // 25 * 25]
+    assert before_last_round.size == 0 or _hits(before_last_round, cfg.conv_tol) < 3
+    assert res.best_value == float(values.min()) and res.best_index == int(np.argmin(values))
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("rank", [4, 5, 6, 7])
+def test_separable_mixture_stays_not_edge(rank, seed):
+    # a separable state's edge minimum is ~0, where 1e-9 relative is no tolerance at all; conv_tol floors it
+    from pptedge import criteria
+
+    cfg = SeeSawConfig(seed=seed)
+    cert = criteria.certify_edge(BipartiteOperator(helpers.separable_mixture(rank), 3, 3), cfg)
+    assert cert.verdict == "not edge"
+    if rank < 7:
+        # minima of 1e-17..1e-13 lie below conv_tol, so every converged restart counts as a hit
+        assert cert.minimum < cfg.conv_tol
+        assert len(cert.opt.restart_values) < cfg.restarts
+    # rank 7 ends at ~5e-12 with unconverged restarts more than conv_tol apart, and may run to the cap (seed 10)
 
 
 def _qr_inputs(kind: str) -> np.ndarray:
