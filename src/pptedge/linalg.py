@@ -74,11 +74,20 @@ def _require_hermitian(m, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
-    """Unit phases making each vector's (last axis) first largest-modulus entry real and >= 0; 1 for zero."""
-    piv = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=-1)[..., None], axis=-1)[..., 0]
+def _pivot_phases(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors (last axis) rotated so the first largest-modulus entry is exactly real and >= 0, and their phases.
+
+    The pivot is set to its modulus, since times its phase it keeps a roundoff imaginary part.
+    """
+    idx = np.argmax(np.abs(vectors), axis=-1)[..., None]
+    piv = np.take_along_axis(vectors, idx, axis=-1)
     mag = np.abs(piv)
-    return np.where(mag > 0.0, piv.conjugate() / np.where(mag > 0.0, mag, 1.0), 1.0)
+    safe = np.where(mag > 0.0, mag, 1.0)  # zero vectors get phase 1
+    # real divisions give a real positive pivot the phase exactly 1
+    phases = np.where(mag > 0.0, piv.real / safe - 1j * (piv.imag / safe), 1.0)
+    fixed = vectors * phases
+    np.put_along_axis(fixed, idx, mag, axis=-1)
+    return fixed, phases[..., 0]
 
 
 def phase_fix(v: np.ndarray) -> np.ndarray:
@@ -86,8 +95,7 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
 
     Stacked input is fixed vector by vector along the last axis.
     """
-    v = np.asarray(v, dtype=complex)
-    return v * _pivot_phases(v)[..., None]
+    return _pivot_phases(np.asarray(v, dtype=complex))[0]
 
 
 def _tie_break_order(values: np.ndarray, vectors: np.ndarray, tol) -> np.ndarray:
@@ -148,8 +156,8 @@ def svd(m) -> SvdResult:
     a = _as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     v = vh.conj().T
-    ph = _pivot_phases(u.T)
-    u, v = u * ph, v * ph  # same phase on both factors keeps u_j v_j^dagger invariant
+    ut, ph = _pivot_phases(u.T)
+    u, v = ut.T, v * ph  # same phase on both factors keeps u_j v_j^dagger invariant
     scale = max(1.0, float(s.max())) if s.size else 1.0
     order = _tie_break_order(-s, u, HERMITIAN_ATOL * scale)
     return SvdResult(u=u[:, order], values=s[order], v=v[:, order])

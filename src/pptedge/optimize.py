@@ -14,8 +14,10 @@ conjugate partner a (x) conj(b) is one such H, built by partial transposition
 Determinism contract: restart ``r`` draws its starting point from its own
 generator, ``np.random.default_rng([seed, r])``, so different seeds draw
 different starts, and restarts never interact. Every array operation acts on
-each restart at a fixed shape, so restart ``r`` gives bit-identical results in
-a batch of any size; a converged restart simply leaves the batch. How many
+each restart at a fixed shape, and ``np.linalg.eigh`` solves each matrix of a
+stack on its own, so restart ``r`` gives bit-identical results in a batch of
+any size; a converged restart simply leaves the batch. No phase convention is
+applied per half-step, only to the reported ``ProductVector``. How many
 restarts run is decided in index order: they run in rounds of 25, and the run
 stops after the first round in which at least 3 restarts lie within
 ``max(1e-9 * |best|, conv_tol)`` of the best value so far, or at the
@@ -36,7 +38,6 @@ import numpy as np
 
 from .bipartite import BipartiteOperator, ProductVector
 from .exceptions import NotApplicableError
-from .linalg import HERMITIAN_ATOL, canonical_eigenbasis, phase_fix
 
 __all__ = [
     "OptResult",
@@ -135,21 +136,6 @@ def _objective(
     return op.matrix, (op.dim_a, op.dim_b)
 
 
-def _batch_min_eigvec(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal eigenpair for a stack of Hermitian matrices, phase-fixed.
-
-    For (rare) degenerate minima the eigenbasis of that matrix is put into
-    :func:`~pptedge.linalg.canonical_eigenbasis` order first, keeping the
-    choice reproducible.
-    """
-    w, v = np.linalg.eigh(mats)
-    vecs = phase_fix(v[..., 0])
-    degenerate = w[..., 1] - w[..., 0] <= HERMITIAN_ATOL * np.maximum(1.0, np.abs(w).max(axis=-1))
-    if degenerate.any():
-        vecs[degenerate] = canonical_eigenbasis(w[degenerate], v[degenerate])[1][..., 0]
-    return w[..., 0], vecs
-
-
 def _starts(seed: int, indices: range, dim: int, rank: int) -> np.ndarray:
     """Unit-norm complex Gaussian (dim x rank) factor per restart; restart r draws from default_rng([seed, r])."""
     out = np.empty((len(indices), dim, rank), dtype=complex)
@@ -201,7 +187,9 @@ def _half_step(h: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
     Rayleigh quotient of an effective operator on vec(free). That operator is
     one (rank^2 x m^2) @ (m^2 x d^2) product per restart, with m and d the fixed
     and free party dimensions: a fixed shape per restart, so every restart's
-    arithmetic is the same whatever batch it runs in.
+    arithmetic is the same whatever batch it runs in. One ``eigh`` of the stack,
+    which reads only the lower triangle, gives each restart's minimal eigenpair;
+    its eigenvector is used as returned, without a phase convention.
     """
     da, db = dims
     h4 = h.reshape(da, db, da, db)
@@ -216,8 +204,8 @@ def _half_step(h: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
         ft = fixed.transpose(0, 2, 1)
         outer = (ft.conj()[:, :, None, :, None] * ft[:, None, :, None, :]).reshape(n, rank * rank, m * m)
         eff = (outer @ mat).reshape(n, rank, rank, d, d).transpose(0, 3, 1, 4, 2).reshape(n, d * rank, d * rank)
-        w, v = _batch_min_eigvec((eff + eff.conj().transpose(0, 2, 1)) / 2)
-        return w, fixed, v.reshape(n, d, rank)
+        w, v = np.linalg.eigh(eff)
+        return w[:, 0], fixed, v[:, :, 0].reshape(n, d, rank)
 
     return step
 

@@ -108,6 +108,16 @@ def test_certify_edge_catalog(rho55, rho66, fast_cfg):
         assert float(cert.opt.restart_values.min()) == cert.minimum
 
 
+def test_certify_edge_argmin_pivots_are_exactly_real(rho55, rho66, fast_cfg):
+    # ProductVector applies the phase convention once, to the reported point
+    for entry in (rho55, rho66):
+        argmin = certify_edge(entry, fast_cfg).argmin
+        for factor in (argmin.a, argmin.b):
+            piv = factor[np.argmax(np.abs(factor))]
+            assert piv.imag == 0.0
+            assert piv.real > 0.0
+
+
 def test_certify_edge_separable_not_edge(fast_cfg):
     cert = certify_edge(catalog.get("separable_sample"), fast_cfg)
     assert cert.verdict == "not edge"

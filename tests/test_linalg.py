@@ -47,8 +47,30 @@ def test_hermitian_eig_phase_convention():
     _, vectors = _eig(m)
     for vec in vectors.T:
         piv = vec[np.argmax(np.abs(vec))]
-        assert abs(piv.imag) < 1e-14
+        assert piv.imag == 0.0
         assert piv.real >= 0.0
+
+
+def test_phase_fix_pivot_is_exactly_real_and_idempotent():
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((10_000, 3)) + 1j * rng.standard_normal((10_000, 3))
+    fixed = linalg.phase_fix(v)
+    piv = np.take_along_axis(fixed, np.argmax(np.abs(v), axis=-1)[:, None], axis=-1)[:, 0]
+    assert np.all(piv.imag == 0.0)
+    assert np.all(piv.real > 0.0)
+    assert np.allclose(np.abs(fixed), np.abs(v), rtol=1e-15, atol=0.0)
+    # a pivot that is already real and positive gets phase exactly 1
+    assert linalg.phase_fix(fixed).tobytes() == fixed.tobytes()
+
+
+def test_svd_left_pivots_are_exactly_real():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+    res = linalg.svd(m)
+    piv = np.take_along_axis(res.u, np.argmax(np.abs(res.u), axis=0)[None, :], axis=0)[0]
+    assert np.all(piv.imag == 0.0)
+    assert np.all(piv.real > 0.0)
+    assert np.allclose(res.reconstruct(), m, atol=1e-13)
 
 
 def test_hermitian_eig_deterministic_on_degenerate_input():

@@ -197,9 +197,20 @@ def _catalog_edge_operator(name: str) -> np.ndarray:
     return _plus_conjugate_term(eye - p_range, eye - p_pt)
 
 
+def _max_entangled_projector() -> np.ndarray:
+    v = helpers.max_entangled_vector(3)
+    return np.outer(v, v.conj())
+
+
+# every half-step of the *_degenerate runs has a degenerate minimal eigenvalue
+# (test_degenerate_objectives_have_degenerate_half_steps), so LAPACK's choice
+# within the eigenspace is the only tie-break
+_DEGENERATE = {"product": helpers.swap_operator(3), "schmidt2": _max_entangled_projector()}
 _BATCH_OBJECTIVES = {
     "product": lambda cfg: min_generic_quadratic(_catalog_edge_operator("rho_5_5"), cfg),
     "schmidt2": lambda cfg: min_schmidt2_expectation(helpers.random_hermitian(np.random.default_rng(8), 9), cfg),
+    "product_degenerate": lambda cfg: min_generic_quadratic(_DEGENERATE["product"], cfg),
+    "schmidt2_degenerate": lambda cfg: min_schmidt2_expectation(_DEGENERATE["schmidt2"], cfg),
 }
 _BATCH_REFERENCE: dict[str, OptResult] = {}
 
@@ -218,6 +229,29 @@ def test_restart_is_bit_identical_in_any_batch(objective, batch):
     prefix = run(SeeSawConfig(restarts=res.best_index + 1, seed=42))
     assert prefix.best_value == res.best_value
     assert _argmin_bits(prefix.argmin) == _argmin_bits(res.argmin)
+
+
+@pytest.mark.parametrize("objective", sorted(_DEGENERATE))
+def test_degenerate_objectives_have_degenerate_half_steps(objective):
+    # a half-step eigensolves the compression of H onto free (x) span(fixed) or span(fixed) (x) free;
+    # every such compression of these operators has rank <= 1, so a degenerate minimum 0
+    from pptedge.optimize import _starts
+
+    rank = 1 if objective == "product" else 2
+    h = _DEGENERATE[objective]
+    for f in _starts(42, range(25), 3, rank):
+        q = np.linalg.qr(f)[0]
+        for iso in (np.kron(np.eye(3), q), np.kron(q, np.eye(3))):
+            w = np.linalg.eigvalsh(iso.conj().T @ h @ iso)
+            assert abs(w[0]) < 1e-12 and w[1] - w[0] < 1e-12
+
+
+@pytest.mark.parametrize("minimizer", [min_generic_quadratic, min_schmidt2_expectation], ids=["product", "schmidt2"])
+@pytest.mark.parametrize("objective", ["identity", "swap"])
+def test_repeated_runs_byte_identical_on_degenerate_objectives(objective, minimizer):
+    h = np.eye(9) if objective == "identity" else helpers.swap_operator(3)
+    cfg = SeeSawConfig(seed=42)
+    assert pickle.dumps(minimizer(h, cfg)) == pickle.dumps(minimizer(h, cfg))
 
 
 def test_seeds_draw_different_starts():
