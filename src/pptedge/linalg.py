@@ -1,10 +1,10 @@
 """Dense complex linear algebra on small matrices, plus exact rational rank.
 
 All numeric routines work on plain ``complex128`` numpy arrays at the scale
-used in this package (at most a few dozen rows). Spectral factorizations are
-made deterministic by a fixed phase convention and a lexicographic tie-break
-for degenerate eigenvalue/singular-value groups, so identical inputs always
-produce identical outputs.
+used in this package (at most a few dozen rows). :func:`svd` is made
+deterministic by a fixed phase convention and a lexicographic tie-break for
+groups of equal singular values, so identical inputs always produce identical
+outputs.
 
 Numeric rank has one rule: an eigenvalue counts when its modulus exceeds
 ``rel_tol`` times the largest modulus. :func:`numeric_rank` and
@@ -32,7 +32,6 @@ __all__ = [
     "HERMITIAN_ATOL",
     "RationalMatrix",
     "SvdResult",
-    "canonical_eigenbasis",
     "exact_rank",
     "is_hermitian",
     "numeric_rank",
@@ -117,26 +116,15 @@ def _tie_break_order(values: np.ndarray, vectors: np.ndarray, tol) -> np.ndarray
     return np.lexsort([*keys, group])
 
 
-def canonical_eigenbasis(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Put ``np.linalg.eigh`` output into the deterministic convention, matrix by matrix for stacks.
-
-    Each eigenvector is phase-fixed, and eigenvectors of eigenvalues equal
-    within ``HERMITIAN_ATOL`` (scaled by max(1, largest |eigenvalue|)) are
-    ordered lexicographically.
-    """
-    v = np.swapaxes(phase_fix(np.swapaxes(v, -1, -2)), -1, -2)
-    scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
-    order = _tie_break_order(w, v, HERMITIAN_ATOL * scale)
-    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Reduced singular value decomposition ``m = u @ diag(values) @ v.conj().T``.
 
     Singular values are descending and nonnegative; ``u`` and ``v`` have
-    orthonormal columns with the same deterministic phase and tie-break
-    conventions as :func:`canonical_eigenbasis`.
+    orthonormal columns. Each column of ``u`` follows the :func:`phase_fix`
+    convention, with ``v`` rotated by the same phase, and columns of
+    (numerically) equal singular values are ordered lexicographically by
+    their ``u`` entries.
     """
 
     u: np.ndarray

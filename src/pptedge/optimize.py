@@ -14,19 +14,19 @@ conjugate partner a (x) conj(b) is one such H, built by partial transposition
 Determinism contract: restart ``r`` draws its starting point from its own
 generator, ``np.random.default_rng([seed, r])``, so different seeds draw
 different starts, and restarts never interact. Every array operation acts on
-each restart at a fixed shape, and ``np.linalg.eigh`` solves each matrix of a
-stack on its own, so restart ``r`` gives bit-identical results in a batch of
-any size; a converged restart simply leaves the batch. No phase convention is
-applied per half-step, only to the reported ``ProductVector``. How many
-restarts run is decided in index order: they run in rounds of 25, and the run
-stops after the first round in which at least 3 restarts lie within
-``max(1e-9 * |best|, conv_tol)`` of the best value so far, or at the
-``restarts`` cap. The restarts that run under a smaller cap are therefore a
-prefix of those that run under a larger one, and the merge of restart results
-is a plain minimum with a first-index tie-break. Running the same inputs
-twice gives identical results. The reported best value is a heuristic upper
-bound on the true infimum: multistart see-saw carries no global optimality
-certificate.
+each restart at a fixed shape, and ``np.linalg.eigh`` and ``np.linalg.qr``
+each solve every matrix of a stack on its own, so restart ``r`` gives
+bit-identical results in a batch of any size; a converged restart simply
+leaves the batch. No phase convention is applied per half-step, only to the
+reported ``ProductVector``. How many restarts run is decided in index order:
+they run in rounds of 25, and the run stops after the first round in which at
+least 3 restarts lie within ``max(1e-9 * |best|, conv_tol)`` of the best
+value so far, or at the ``restarts`` cap. The restarts that run under a
+smaller cap are therefore a prefix of those that run under a larger one, and
+the merge of restart results is a plain minimum with a first-index tie-break.
+Running the same inputs twice gives identical results. The reported best
+value is a heuristic upper bound on the true infimum: multistart see-saw
+carries no global optimality certificate.
 """
 
 from __future__ import annotations
@@ -146,50 +146,28 @@ def _starts(seed: int, indices: range, dim: int, rank: int) -> np.ndarray:
     return out
 
 
-def _householder(x: np.ndarray) -> np.ndarray:
-    """Unit vectors u (n, k) with (I - 2 u u^H) x a multiple of the first unit vector.
-
-    A zero column x gets u = 0, the identity reflector, so no NaN can arise.
-    """
-    head = np.abs(x[:, 0])
-    phase = np.where(head > 0.0, x[:, 0] / np.where(head > 0.0, head, 1.0), 1.0)
-    v = x.copy()
-    v[:, 0] += phase * np.sqrt((x.real**2 + x.imag**2).sum(axis=1))
-    norm = np.sqrt((v.real**2 + v.imag**2).sum(axis=1))
-    return v / np.where(norm > 0.0, norm, 1.0)[:, None]
-
-
-def _reflect(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(I - 2 u u^H) rows for each u (n, k) and rows (n, k, c)."""
-    return rows - 2.0 * u[:, :, None] * (u.conj()[:, :, None] * rows).sum(axis=1)[:, None, :]
-
-
 def _orthonormal_columns(f: np.ndarray) -> np.ndarray:
-    """Q (n, k, 2) with orthonormal columns and F = Q (Q^H F): a Householder QR of each F (n, k, 2).
+    """Q (n, k, 2) with orthonormal columns and F = Q (Q^H F) for each F (n, k, 2).
 
-    With F = H1 H2 R for reflectors H1 (all rows) and H2 (rows 1 onward), Q is the
-    first two columns of H1 H2. The closed form costs a fraction of a batched
-    LAPACK SVD on these tiny matrices, and guarded reflectors keep Q
-    orthonormal even when F is rank-deficient.
+    This holds for rank-deficient and zero F too. One batched LAPACK QR
+    (``geqrf``/``ungqr``), which factors each matrix of the stack on its own.
     """
-    u1 = _householder(f[:, :, 0])
-    u2 = _householder(_reflect(u1, f[:, :, 1:])[:, 1:, 0])
-    q = np.broadcast_to(np.eye(*f.shape[1:], dtype=complex), f.shape).copy()
-    q[:, 1:] = _reflect(u2, q[:, 1:])
-    return _reflect(u1, q)
+    return np.linalg.qr(f)[0]
 
 
 def _half_step(h: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
     """Exact minimization over party ``free``'s factor (0 = A, 1 = B) with the other factor fixed.
 
     Factors are stacks (n, dim, rank) standing for psi = sum_r A[:, r] (x) B[:, r].
-    Once the fixed factor has orthonormal columns, <psi|H|psi> / <psi|psi> is the
-    Rayleigh quotient of an effective operator on vec(free). That operator is
-    one (rank^2 x m^2) @ (m^2 x d^2) product per restart, with m and d the fixed
-    and free party dimensions: a fixed shape per restart, so every restart's
-    arithmetic is the same whatever batch it runs in. One ``eigh`` of the stack,
-    which reads only the lower triangle, gives each restart's minimal eigenpair;
-    its eigenvector is used as returned, without a phase convention.
+    A rank-2 fixed factor is first given orthonormal columns by one batched QR
+    of the stack. Then <psi|H|psi> / <psi|psi> is the Rayleigh quotient of an
+    effective operator on vec(free). That operator is one (rank^2 x m^2) @
+    (m^2 x d^2) product per restart, with m and d the fixed and free party
+    dimensions: a fixed shape per restart, and ``qr`` and ``eigh`` factor each
+    matrix of a stack on its own, so every restart's arithmetic is the same
+    whatever batch it runs in. One ``eigh`` of the stack, which reads only the
+    lower triangle, gives each restart's minimal eigenpair; its eigenvector is
+    used as returned, without a phase convention.
     """
     da, db = dims
     h4 = h.reshape(da, db, da, db)
@@ -324,9 +302,11 @@ def min_schmidt2_expectation(
     """Minimize the Rayleigh quotient of H over states of Schmidt rank at most 2.
 
     The 3x3 coefficient matrix of the state is kept factored as
-    (3 x 2) @ (2 x 3). Fixing either factor and orthonormalizing it turns the
-    quotient into an ordinary eigenproblem for a 6x6 effective Hermitian
-    operator in the other factor, so the same monotone alternation applies.
+    (3 x 2) @ (2 x 3). Fixing either factor and orthonormalizing it, by one
+    batched LAPACK QR that keeps its span even when it is rank-deficient,
+    turns the quotient into an ordinary eigenproblem for a 6x6 effective
+    Hermitian operator in the other factor, so the same monotone alternation
+    applies.
     The returned state has at most two nonzero Schmidt coefficients by
     construction. An operator on another bipartite space raises
     :class:`NotApplicableError`.

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library code paths it is used to
 check: trace norms come from the eigenvalues of a Hermitian dilation rather
 than an SVD, ranks from plain Gaussian elimination over Fractions rather
 than Bareiss, and product-state minima from a closed-form scan rather than
-see-saw alternation.
+see-saw alternation. The one exception is :func:`canonical_eigenbasis`, a
+convention rather than an oracle: it applies the library's own phase and
+tie-break rules to ``np.linalg.eigh`` output, so the tests can check them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from pptedge.linalg import HERMITIAN_ATOL, _tie_break_order, phase_fix
 
 
 def dilation_trace_norm(m: np.ndarray) -> float:
@@ -100,3 +104,16 @@ def separable_mixture(rank: int) -> np.ndarray:
         v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         rho += np.outer(v, v.conj()) / rank
     return rho
+
+
+def canonical_eigenbasis(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Put ``np.linalg.eigh`` output into the deterministic convention, matrix by matrix for stacks.
+
+    Each eigenvector is phase-fixed, and eigenvectors of eigenvalues equal
+    within ``HERMITIAN_ATOL`` (scaled by max(1, largest |eigenvalue|)) are
+    ordered lexicographically.
+    """
+    v = np.swapaxes(phase_fix(np.swapaxes(v, -1, -2)), -1, -2)
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    order = _tie_break_order(w, v, HERMITIAN_ATOL * scale)
+    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)

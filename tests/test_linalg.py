@@ -9,7 +9,7 @@ from pptedge import linalg
 
 def _eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a Hermitian matrix in the deterministic convention."""
-    return linalg.canonical_eigenbasis(*np.linalg.eigh(np.asarray(m, dtype=complex)))
+    return helpers.canonical_eigenbasis(*np.linalg.eigh(np.asarray(m, dtype=complex)))
 
 
 def test_hermitian_eig_identity():

@@ -338,3 +338,30 @@ def test_orthonormal_columns_span_the_input(kind):
     assert q.shape == f.shape and np.isfinite(q).all()
     assert np.abs(qh @ q - np.eye(2)).max() < 1e-14
     assert np.abs(f - q @ (qh @ f)).max() < 1e-13
+
+
+def test_orthonormal_columns_factor_each_matrix_on_its_own():
+    # every kind of input, interleaved in one stack: each row must be what it is alone
+    from pptedge.optimize import _orthonormal_columns
+
+    kinds = ["random", "rank_one", "zero_first_column", "zero_second_column", "all_zero"]
+    f = np.empty((50, 3, 2), dtype=complex)
+    for i, kind in enumerate(kinds):
+        f[i::5] = _qr_inputs(kind)[i::5]
+    q = _orthonormal_columns(f)
+    for row in range(50):
+        assert q[row].tobytes() == _orthonormal_columns(f[row : row + 1])[0].tobytes(), row
+
+
+def test_schmidt2_product_ground_state_with_rank_deficient_factors():
+    # the ground state |00> has Schmidt rank one, so the factors the half-steps orthonormalize go rank-deficient
+    ket = np.zeros(9)
+    ket[0] = 1.0
+    h = np.eye(9) - 2.0 * np.outer(ket, ket)
+    res = min_schmidt2_expectation(h, SeeSawConfig(seed=42, record_trace=True))
+    assert abs(res.best_value + 1.0) < 1e-12
+    for trace in res.traces:
+        assert np.diff(np.array(trace)).max(initial=-np.inf) <= 1e-14
+    vec = res.argmin.vector
+    assert np.isfinite(vec).all()
+    assert schmidt_coefficients(vec, 3, 3)[2] < 1e-8
