@@ -8,7 +8,7 @@ over the integers) and the partial transpose (a pure index permutation).
 
 import numpy as np
 
-from pptedge import exact_rank, numeric_rank, partial_transpose, rho_5_5, rho_6_6
+from pptedge import exact_rank, partial_transpose, rho_5_5, rho_6_6
 
 np.set_printoptions(linewidth=140, suppress=True)
 
@@ -21,9 +21,9 @@ for entry in (rho_5_5(), rho_6_6()):
     # Exact ranks never touch floating point; the numeric path must agree.
     print(f"exact rank            : {exact_rank(entry.exact)}")
     print(f"exact rank of PT      : {exact_rank(entry.exact_pt)}")
-    print(f"numeric rank          : {numeric_rank(entry.state.matrix)}")
+    print(f"numeric rank          : {entry.state.spectrum.rank()}")
     pt = partial_transpose(entry.state)
-    print(f"numeric rank of PT    : {numeric_rank(pt.matrix)}")
+    print(f"numeric rank of PT    : {pt.spectrum.rank()}")
 
     # The partial transpose of integer entries is again integer, bit-exact.
     pt_numerator = 13.0 * pt.matrix

@@ -15,18 +15,19 @@ minimum (heuristic, no global certificate) is the edge evidence; for a
 separable state the objective reaches zero at one of its product components.
 """
 
-from pptedge import SeeSawConfig, certify_edge, edge_objective, range_families, range_membership, rho_5_5, rho_6_6
+from pptedge import SeeSawConfig, certify_edge, range_families, residual_norm, rho_5_5, rho_6_6, span_projector
 from pptedge.catalog import get
 
 cfg = SeeSawConfig(restarts=80, seed=42)
 
 r55 = rho_5_5()
+p_range, p_pt_range = span_projector(r55.range_basis), span_projector(r55.pt_range_basis)
 print("product-vector families inside range(rho_5_5):")
 for family in range_families("rho_5_5"):
     pv = family.samples(1, seed=2)[0]
-    in_range = range_membership(pv.tensor(), r55, "rho")
-    partner_miss = range_membership(pv.conjugate_partner(), r55, "pt")
-    total = edge_objective(r55, pv.a, pv.b)
+    in_range = residual_norm(pv.tensor(), p_range)
+    partner_miss = residual_norm(pv.conjugate_partner(), p_pt_range)
+    total = in_range**2 + partner_miss**2
     print(
         f"  {family.name:<12} residual in range {in_range:.1e}   "
         f"partner residual to PT range {partner_miss:.3f}   objective {total:.3e}"

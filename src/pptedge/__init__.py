@@ -23,19 +23,16 @@ from .criteria import (
     CriterionReport,
     EdgeCertificate,
     certify_edge,
-    edge_objective,
     edge_operator,
     is_ppt,
-    range_membership,
     realignment_criterion,
 )
 from .exceptions import MatrixFileError, NotApplicableError
 from .linalg import (
     RationalMatrix,
+    Spectrum,
     SvdResult,
     exact_rank,
-    numeric_rank,
-    range_projector,
     residual_norm,
     span_projector,
     svd,
@@ -65,10 +62,10 @@ __all__ = [
     "RankTwoFactors",
     "RationalMatrix",
     "SeeSawConfig",
+    "Spectrum",
     "SvdResult",
     "Witness",
     "certify_edge",
-    "edge_objective",
     "edge_operator",
     "evaluate",
     "exact_rank",
@@ -76,11 +73,8 @@ __all__ = [
     "kernel_witness",
     "min_generic_quadratic",
     "min_schmidt2_expectation",
-    "numeric_rank",
     "partial_transpose",
     "range_families",
-    "range_membership",
-    "range_projector",
     "read_matrix_file",
     "realign",
     "realignment_criterion",

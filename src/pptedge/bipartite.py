@@ -9,6 +9,7 @@ so applying them to exactly representable entries is bit-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,16 @@ class BipartiteOperator:
         """View of the matrix as a 4-index tensor T[i, k, j, l]."""
         return self.matrix.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
 
+    @cached_property
+    def spectrum(self) -> linalg.Spectrum:
+        """The one eigendecomposition of the matrix, made on first use; every rank, PSD and range decision reads it."""
+        return linalg.Spectrum.of(self.matrix)
+
+    @cached_property
+    def pt(self) -> "BipartiteOperator":
+        """Partial transpose on party B, computed on first use (see :func:`partial_transpose`)."""
+        return BipartiteOperator(transpose_b(self.matrix, self.dim_a, self.dim_b), self.dim_a, self.dim_b)
+
 
 def validate_density(op: BipartiteOperator, psd_tol: float = 1e-12) -> None:
     """Check the density-matrix role: Hermitian, unit trace, PSD within ``psd_tol``."""
@@ -79,7 +90,7 @@ def validate_density(op: BipartiteOperator, psd_tol: float = 1e-12) -> None:
     tr = op.trace
     if abs(tr - 1.0) > 1e-12:
         raise InvalidStateError(f"density matrix must have unit trace, got {tr:.15g}")
-    lo = float(np.linalg.eigvalsh(op.matrix)[0])
+    lo = float(op.spectrum.values[0])
     if lo < -psd_tol:
         raise InvalidStateError(f"density matrix has negative eigenvalue {lo:.3e}")
 
@@ -91,8 +102,8 @@ def transpose_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def partial_transpose(op: BipartiteOperator) -> BipartiteOperator:
-    """Transpose party B only: entry ((i,k),(j,l)) of the output is ((i,l),(j,k)) of the input."""
-    return BipartiteOperator(transpose_b(op.matrix, op.dim_a, op.dim_b), op.dim_a, op.dim_b)
+    """Transpose party B only: entry ((i,k),(j,l)) of the output is ((i,l),(j,k)) of the input; ``op.pt``."""
+    return op.pt
 
 
 def realign(op: BipartiteOperator) -> np.ndarray:

@@ -18,6 +18,7 @@ with one basis vector per free parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -244,7 +245,7 @@ def reference_states() -> tuple[CatalogEntry, ...]:
     return (_max_mixed(), _max_entangled(), _separable_sample())
 
 
-# name -> builder, in catalog order; ``get`` builds only the named entry
+# name -> builder, in catalog order
 _BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
     "rho_5_5": rho_5_5,
     "rho_6_6": rho_6_6,
@@ -255,14 +256,20 @@ _BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
 CATALOG_NAMES = tuple(_BUILDERS)
 
 
+@cache
+def _built(name: str) -> CatalogEntry:
+    return _BUILDERS[name]()
+
+
 def entries() -> tuple[CatalogEntry, ...]:
-    return tuple(build() for build in _BUILDERS.values())
+    return tuple(get(name) for name in CATALOG_NAMES)
 
 
 def get(name: str) -> CatalogEntry:
+    """The named entry; entries are frozen with read-only arrays, so each is built once and shared."""
     if name not in CATALOG_NAMES:
         raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(CATALOG_NAMES)}")
-    return _BUILDERS[name]()
+    return _built(name)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, catalog, criteria, linalg, witness as witness_mod
-from .bipartite import BipartiteOperator, partial_transpose, schmidt_coefficients, validate_density
+from .bipartite import BipartiteOperator, schmidt_coefficients, validate_density
 from .exceptions import InvalidStateError, MatrixFileError, NotApplicableError
 from .optimize import SeeSawConfig, min_schmidt2_expectation
 from .serialize import dumps_canonical, matrix_payload, read_matrix_file
@@ -145,8 +145,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 def _rank_block(state, args: argparse.Namespace) -> dict:
     op, _ = catalog.operator_and_name(state)
     block = {
-        "rank": linalg.numeric_rank(op.matrix, args.tol_eig),
-        "pt_rank": linalg.numeric_rank(partial_transpose(op).matrix, args.tol_eig),
+        "rank": op.spectrum.rank(args.tol_eig),
+        "pt_rank": op.pt.spectrum.rank(args.tol_eig),
     }
     if isinstance(state, catalog.CatalogEntry) and state.exact is not None:
         block["exact_rank"] = linalg.exact_rank(state.exact)

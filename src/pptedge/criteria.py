@@ -1,4 +1,4 @@
-"""Separability tests: PPT, realignment, range membership, edge certification.
+"""Separability tests: PPT, realignment, edge certification.
 
 The edge certification implements the strong range criterion numerically:
 a PPT state is an edge state when no product vector in its range has its
@@ -13,12 +13,13 @@ A PPT state whose range and partial-transpose range are both the whole space
 is "not edge" exactly: every product vector and its conjugate partner lie in
 the full space, so the objective is identically zero and no see-saw runs.
 
-Each decision is made once. Positivity of the partial transpose is decided
-only by :func:`is_ppt` at its ``tol``; ranks, kernels and range projectors
-only by the ``rel_tol`` rule of :func:`~pptedge.linalg.range_projector`,
-which applies no positivity check of its own. :func:`certify_edge` makes
-both decisions, and its :class:`EdgeCertificate` carries the projectors to
-every later consumer, such as :func:`~pptedge.witness.kernel_witness`.
+Each decision is made once, on the cached spectra ``op.spectrum`` and
+``op.pt.spectrum``. Positivity of the partial transpose is decided only by
+:func:`is_ppt` at its ``tol``; ranks, kernels and range projectors only by
+the ``rel_tol`` rule of :class:`~pptedge.linalg.Spectrum`, which applies no
+positivity check of its own. :func:`certify_edge` makes both decisions, and
+its :class:`EdgeCertificate` carries the projectors to every later consumer,
+such as :func:`~pptedge.witness.kernel_witness`.
 """
 
 from __future__ import annotations
@@ -38,11 +39,9 @@ __all__ = [
     "EdgeCertificate",
     "REALIGNMENT_SLACK",
     "certify_edge",
-    "edge_objective",
     "edge_operator",
     "is_ppt",
     "kernel_dims",
-    "range_membership",
     "realignment_criterion",
 ]
 
@@ -122,15 +121,12 @@ def range_projectors(
     """Projectors onto range(rho) and range(rho^T_B).
 
     Catalog entries with stored exact range bases use those (no spectral
-    thresholds involved); other operators fall back to eigendecompositions.
+    thresholds involved); other operators read their cached spectra.
     """
     if isinstance(state, CatalogEntry) and state.range_basis is not None:
         return linalg.span_projector(state.range_basis), linalg.span_projector(state.pt_range_basis)
     op, _ = operator_and_name(state)
-    return (
-        linalg.range_projector(op.matrix, rel_tol),
-        linalg.range_projector(partial_transpose(op).matrix, rel_tol),
-    )
+    return op.spectrum.range_projector(rel_tol), op.pt.spectrum.range_projector(rel_tol)
 
 
 def kernel_dims(p_range: np.ndarray, p_pt_range: np.ndarray) -> tuple[int, int]:
@@ -141,7 +137,7 @@ def kernel_dims(p_range: np.ndarray, p_pt_range: np.ndarray) -> tuple[int, int]:
 def is_ppt(state: BipartiteOperator | CatalogEntry, tol: float = 1e-12) -> CriterionReport:
     """PPT test: passes iff the partial transpose has no eigenvalue below -tol."""
     op, _ = operator_and_name(state)
-    evidence = float(np.linalg.eigvalsh(partial_transpose(op).matrix)[0])
+    evidence = float(op.pt.spectrum.values[0])
     verdict = "pass" if evidence >= -tol else "violated"
     return CriterionReport("ppt", verdict, evidence, tol)
 
@@ -164,21 +160,6 @@ def edge_operator(p_range: np.ndarray, p_pt_range: np.ndarray, dims: tuple[int, 
     eye = np.eye(dims[0] * dims[1], dtype=complex)
     q_pt = partial_transpose(BipartiteOperator(eye - p_pt_range, *dims)).matrix
     return BipartiteOperator(eye - p_range + q_pt, *dims)
-
-
-def edge_objective(state: BipartiteOperator | CatalogEntry, a, b, rel_tol: float = linalg.DEFAULT_RANK_RTOL) -> float:
-    """Summed squared range residuals of a product vector and its conjugate partner.
-
-    Zero exactly when a (x) b lies in range(rho) and a (x) conj(b) lies in
-    range(rho^T_B); invariant under global phases of either factor.
-    """
-    p_range, p_pt = range_projectors(state, rel_tol)
-    pv = ProductVector(a, b)
-    v = pv.tensor()
-    w = pv.conjugate_partner()
-    r1 = linalg.residual_norm(v, p_range)
-    r2 = linalg.residual_norm(w, p_pt)
-    return r1 * r1 + r2 * r2
 
 
 def certify_edge(
@@ -235,17 +216,3 @@ def certify_edge(
         opt=result,
         projectors=(p_range, p_pt),
     )
-
-
-def range_membership(vec, entry: CatalogEntry, which: str = "rho") -> float:
-    """Residual of ``vec`` against a catalog entry's stored exact range basis.
-
-    ``which`` selects the range of the state ("rho") or of its partial
-    transpose ("pt").
-    """
-    if which not in ("rho", "pt"):
-        raise ValueError(f"which must be 'rho' or 'pt', got {which!r}")
-    basis = entry.range_basis if which == "rho" else entry.pt_range_basis
-    if basis is None:
-        raise ValueError(f"catalog entry {entry.name!r} has no stored range basis")
-    return linalg.residual_norm(vec, linalg.span_projector(basis))

@@ -6,10 +6,11 @@ deterministic by a fixed phase convention and a lexicographic tie-break for
 groups of equal singular values, so identical inputs always produce identical
 outputs.
 
-Numeric rank has one rule: an eigenvalue counts when its modulus exceeds
-``rel_tol`` times the largest modulus. :func:`numeric_rank` and
-:func:`range_projector` both apply it to any Hermitian matrix, definite or
-not; positivity is decided by the callers' own tolerances, not here.
+Numeric rank has one rule, kept in :class:`Spectrum`, the one
+eigendecomposition that every rank, positivity and range decision reads: an
+eigenvalue counts when its modulus exceeds ``rel_tol`` times the largest
+modulus, for any Hermitian matrix, definite or not. Positivity is decided
+by the callers' own tolerances, not here.
 
 The exact path (:class:`RationalMatrix`, :func:`exact_rank`) performs
 fraction-free Bareiss elimination over Python integers and never rounds.
@@ -31,12 +32,11 @@ __all__ = [
     "DEFAULT_RANK_RTOL",
     "HERMITIAN_ATOL",
     "RationalMatrix",
+    "Spectrum",
     "SvdResult",
     "exact_rank",
     "is_hermitian",
-    "numeric_rank",
     "phase_fix",
-    "range_projector",
     "residual_norm",
     "span_projector",
     "svd",
@@ -156,27 +156,40 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(_as_matrix(m), compute_uv=False).sum())
 
 
-def _rank_mask(w: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Eigenvalues that count toward the rank: ``|w| > rel_tol * max|w|``; none for the zero matrix."""
-    mag = np.abs(w)
-    return mag > rel_tol * mag.max(initial=0.0)
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigendecomposition of a Hermitian matrix: ``m = vectors @ diag(values) @ vectors.conj().T``.
 
-
-def numeric_rank(m, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
-    """Number of eigenvalues of a Hermitian matrix whose modulus exceeds ``rel_tol`` times the largest.
-
-    Indefinite input is counted by the same rule, so diag(1, -1) has rank 2.
-    The zero matrix has rank 0.
+    ``values`` are ascending and ``vectors`` holds the matching orthonormal
+    columns; both are read-only. :meth:`rank` and :meth:`range_projector`
+    apply the one rank rule to the same values, so they always agree.
     """
-    return int(np.sum(_rank_mask(np.linalg.eigvalsh(_require_hermitian(m)), rel_tol)))
 
+    values: np.ndarray
+    vectors: np.ndarray
 
-def range_projector(m, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
-    """Hermitian idempotent projector onto the range: the eigenvectors that :func:`numeric_rank` counts."""
-    w, v = np.linalg.eigh(_require_hermitian(m))
-    keep = v[:, _rank_mask(w, rel_tol)]
-    p = keep @ keep.conj().T
-    return (p + p.conj().T) / 2
+    @classmethod
+    def of(cls, m) -> "Spectrum":
+        """One ``eigh`` of a square Hermitian matrix; anything else raises ``ValueError``."""
+        w, v = np.linalg.eigh(_require_hermitian(m))
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return cls(w, v)
+
+    def _counted(self, rel_tol: float) -> np.ndarray:
+        """Eigenvalues that count toward the rank: ``|w| > rel_tol * max|w|``; none for the zero matrix."""
+        mag = np.abs(self.values)
+        return mag > rel_tol * mag.max(initial=0.0)
+
+    def rank(self, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
+        """Eigenvalues whose modulus exceeds ``rel_tol`` times the largest: diag(1, -1) has rank 2, zero has 0."""
+        return int(np.sum(self._counted(rel_tol)))
+
+    def range_projector(self, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+        """Hermitian idempotent projector onto the range: the eigenvectors that :meth:`rank` counts."""
+        keep = self.vectors[:, self._counted(rel_tol)]
+        p = keep @ keep.conj().T
+        return (p + p.conj().T) / 2
 
 
 def span_projector(vectors: Iterable) -> np.ndarray:

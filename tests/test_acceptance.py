@@ -23,7 +23,7 @@ from conftest import (
 )
 from pptedge import catalog, linalg
 from pptedge.bipartite import BipartiteOperator, partial_transpose, realign, schmidt_coefficients
-from pptedge.criteria import certify_edge, range_membership
+from pptedge.criteria import certify_edge
 from pptedge.optimize import SeeSawConfig, min_generic_quadratic
 from pptedge.witness import evaluate, kernel_witness, realignment_witness, schmidt2_evidence, shift_witness
 
@@ -102,16 +102,17 @@ def test_criterion_04_realignment_violation(entries):
 def test_criterion_05_range_fixtures(entries):
     r55, r66 = entries
     ok = True
-    for range_name, which in (("rho_5_5", "rho"), ("rho_5_5_pt", "pt")):
+    for range_name, basis in (("rho_5_5", r55.range_basis), ("rho_5_5_pt", r55.pt_range_basis)):
+        p = linalg.span_projector(basis)
         for family in catalog.range_families(range_name):
-            residuals = [range_membership(pv.tensor(), r55, which) for pv in family.samples(100, seed=17)]
+            residuals = [linalg.residual_norm(pv.tensor(), p) for pv in family.samples(100, seed=17)]
             ok &= max(residuals) < 1e-10
     for entry in (r55, r66):
         p_basis = linalg.span_projector(entry.range_basis)
-        p_eig = linalg.range_projector(entry.state.matrix)
+        p_eig = linalg.Spectrum.of(entry.state.matrix).range_projector()
         ok &= float(np.abs(p_basis - p_eig).max()) < 1e-10
         q_basis = linalg.span_projector(entry.pt_range_basis)
-        q_eig = linalg.range_projector(partial_transpose(entry.state).matrix)
+        q_eig = linalg.Spectrum.of(partial_transpose(entry.state).matrix).range_projector()
         ok &= float(np.abs(q_basis - q_eig).max()) < 1e-10
     _report(5, "family vectors stay in range (100 samples each) and exact bases span the ranges", ok)
 

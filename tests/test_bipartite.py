@@ -51,6 +51,20 @@ def test_partial_transpose_max_entangled_minimum_eigenvalue():
     assert abs(w[0] + 1.0 / 3.0) < 1e-12
 
 
+def test_spectrum_and_partial_transpose_are_cached_and_read_only():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    op = BipartiteOperator(m + m.conj().T, 3, 3)
+    assert op.spectrum is op.spectrum
+    assert op.pt is op.pt
+    assert partial_transpose(op) is op.pt
+    assert op.pt.spectrum is op.pt.spectrum
+    for arr in (op.spectrum.values, op.spectrum.vectors, op.pt.matrix, op.pt.spectrum.values):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        op.spectrum.values[0] = 0.0
+
+
 def test_realign_rank_one_for_product_projector():
     e00 = np.zeros(9)
     e00[0] = 1.0

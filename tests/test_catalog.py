@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +7,8 @@ import pytest
 
 from conftest import PT_5_5_NUM, PT_6_6_NUM
 from pptedge import catalog, linalg
-from pptedge.bipartite import partial_transpose
-from pptedge.criteria import is_ppt, range_membership
+from pptedge.bipartite import BipartiteOperator, partial_transpose
+from pptedge.criteria import is_ppt
 
 
 def test_numerator_diagonals_sum_to_denominator(rho55, rho66):
@@ -60,22 +62,24 @@ def test_states_and_partial_transposes_are_psd(rho55, rho66):
 def test_range_bases_span_the_ranges(rho55, rho66):
     for entry in (rho55, rho66):
         p_basis = linalg.span_projector(entry.range_basis)
-        p_eig = linalg.range_projector(entry.state.matrix)
+        p_eig = linalg.Spectrum.of(entry.state.matrix).range_projector()
         assert np.abs(p_basis - p_eig).max() < 1e-10
         q_basis = linalg.span_projector(entry.pt_range_basis)
-        q_eig = linalg.range_projector(partial_transpose(entry.state).matrix)
+        q_eig = linalg.Spectrum.of(partial_transpose(entry.state).matrix).range_projector()
         assert np.abs(q_basis - q_eig).max() < 1e-10
 
 
 def test_linear_constraint_pattern_vectors(rho66):
     # V6 = V2 + V4, V7 = -V5, V8 = V1 + 2 V3 - V0
-    assert range_membership(np.array([1, 1, 1, 1, 1, 1, 2, -1, 2], dtype=complex), rho66, "rho") < 1e-12
+    v = np.array([1, 1, 1, 1, 1, 1, 2, -1, 2], dtype=complex)
+    assert linalg.residual_norm(v, linalg.span_projector(rho66.range_basis)) < 1e-12
     # V4 = -V0, V6 = V5 - V2, V7 = V3
-    assert range_membership(np.array([1, 0, 0, 0, -1, 0, 0, 0, 1], dtype=complex), rho66, "pt") < 1e-12
+    w = np.array([1, 0, 0, 0, -1, 0, 0, 0, 1], dtype=complex)
+    assert linalg.residual_norm(w, linalg.span_projector(rho66.pt_range_basis)) < 1e-12
 
 
 def test_first_basis_vector_orthogonal_to_5_5_range(rho55):
-    assert abs(range_membership(np.eye(9)[0], rho55, "rho") - 1.0) < 1e-12
+    assert abs(linalg.residual_norm(np.eye(9)[0], linalg.span_projector(rho55.range_basis)) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -83,9 +87,10 @@ def test_first_basis_vector_orthogonal_to_5_5_range(rho55):
     [("rho_5_5", "rho"), ("rho_5_5_pt", "pt")],
 )
 def test_families_lie_in_their_ranges(rho55, range_name, which):
+    p = linalg.span_projector(rho55.range_basis if which == "rho" else rho55.pt_range_basis)
     for family in catalog.range_families(range_name):
         for pv in family.samples(100, seed=3):
-            assert range_membership(pv.tensor(), rho55, which) < 1e-10, (range_name, family.name)
+            assert linalg.residual_norm(pv.tensor(), p) < 1e-10, (range_name, family.name)
 
 
 def test_family_case_1_1_spec_point(rho55):
@@ -94,7 +99,7 @@ def test_family_case_1_1_spec_point(rho55):
     expect_b = np.array([0.0, 1.0, 1.0])
     assert np.allclose(pv.a, expect_a / np.linalg.norm(expect_a))
     assert np.allclose(pv.b, expect_b / np.linalg.norm(expect_b))
-    assert range_membership(pv.tensor(), rho55, "rho") < 1e-12
+    assert linalg.residual_norm(pv.tensor(), linalg.span_projector(rho55.range_basis)) < 1e-12
 
 
 def test_family_pt_case_1_2_1_spec_point(rho55):
@@ -104,7 +109,7 @@ def test_family_pt_case_1_2_1_spec_point(rho55):
     # compare up to the construction's phase normalization
     expect_b = np.array([0.0, -2.0, 1.0]) / np.sqrt(5.0)
     assert abs(abs(np.vdot(expect_b, pv.b)) - 1.0) < 1e-12
-    assert range_membership(pv.tensor(), rho55, "pt") < 1e-12
+    assert linalg.residual_norm(pv.tensor(), linalg.span_projector(rho55.pt_range_basis)) < 1e-12
 
 
 def test_family_case_2_2_1_spec_point(rho55):
@@ -157,15 +162,38 @@ def test_reference_states_labels_and_ppt():
     assert report.verdict == "violated"
     assert abs(report.evidence + 1.0 / 3.0) < 1e-12
     assert is_ppt(refs["separable_sample"]).verdict == "pass"
-    assert linalg.numeric_rank(refs["max_mixed"].state.matrix) == 9
-    assert linalg.numeric_rank(refs["max_entangled"].state.matrix) == 1
-    assert linalg.numeric_rank(refs["separable_sample"].state.matrix) == 9
+    assert linalg.Spectrum.of(refs["max_mixed"].state.matrix).rank() == 9
+    assert linalg.Spectrum.of(refs["max_entangled"].state.matrix).rank() == 1
+    assert linalg.Spectrum.of(refs["separable_sample"].state.matrix).rank() == 9
 
 
 def test_separable_sample_is_deterministic():
+    # get() returns one cached build, so compare it with a fresh one
     a = catalog.get("separable_sample").state.matrix
-    b = catalog.get("separable_sample").state.matrix
+    b = catalog._separable_sample().state.matrix
     assert np.array_equal(a, b)
+
+
+def _entry_arrays(entry: catalog.CatalogEntry) -> list[np.ndarray]:
+    out = []
+    for f in dataclasses.fields(entry):
+        value = getattr(entry, f.name)
+        if isinstance(value, BipartiteOperator):
+            value = value.matrix
+        out.extend(v for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, np.ndarray))
+    return out
+
+
+def test_get_is_cached_and_every_entry_array_is_read_only():
+    # the cache sits behind get, which stays a plain function that per-layer tracing can wrap
+    assert inspect.isfunction(catalog.get)
+    for name in catalog.CATALOG_NAMES:
+        entry = catalog.get(name)
+        assert catalog.get(name) is entry
+        arrays = _entry_arrays(entry)
+        assert arrays
+        assert not any(arr.flags.writeable for arr in arrays), name
+    assert all(e is catalog.get(e.name) for e in catalog.entries())
 
 
 def test_separable_product_vectors_compose_the_sample():

@@ -380,3 +380,65 @@ def test_certify_edge_rank_deficient_separable_reaches_zero(tmp_path, monkeypatc
     assert len(see_saws) == 1
     assert payload["verdict"] == "not edge"
     assert payload["minimum"] < 1e-10
+
+
+def _count_dense_eigensolves(monkeypatch) -> list:
+    """Record every call of ``np.linalg.eigh`` or ``eigvalsh`` on one 2-d matrix (stacks are see-saw steps)."""
+    calls: list = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            if np.ndim(a) == 2:
+                calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _non_psd_matrix() -> np.ndarray:
+    """Unit trace and Hermitian, with eigenvalue -0.1."""
+    return np.diag([0.6, 0.5, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "name,exit_code,expected",
+    [("full_rank_ppt", 0, 2), ("npt", 0, 2), ("non_psd", 3, 1)],
+)
+def test_analyze_decomposes_each_matrix_once(tmp_path, monkeypatch, capsys, name, exit_code, expected):
+    v = helpers.max_entangled_vector(3)
+    matrix = {
+        "full_rank_ppt": 0.9 * catalog.rho_5_5().state.matrix + 0.1 * np.eye(9) / 9,
+        "npt": np.outer(v, v.conj()),
+        "non_psd": _non_psd_matrix(),
+    }[name]
+    path = _state_file(tmp_path, name, matrix)
+    solves = _count_dense_eigensolves(monkeypatch)
+    assert main(["analyze", path, *FAST]) == exit_code
+    capsys.readouterr()
+    assert len(solves) == expected, solves
+
+
+def test_analyze_catalog_state_decomposes_once_per_process(monkeypatch, capsys):
+    catalog._built.cache_clear()
+    solves = _count_dense_eigensolves(monkeypatch)
+    first = _run_json(capsys, ["analyze", "rho_5_5", *FAST])
+    assert len(solves) == 2, solves
+    solves.clear()
+    assert _run_json(capsys, ["analyze", "rho_5_5", *FAST]) == first
+    assert solves == []
+
+
+@pytest.mark.parametrize("weight,tol_eig,rank", [(0.0, "1e-9", 4), (1e-7, "1e-9", 5), (1e-7, "1e-5", 4)])
+def test_kernel_witness_normalization_agrees_with_reported_ranks(tmp_path, capsys, weight, tol_eig, rank):
+    # the reported ranks and the projectors behind the witness apply one rank rule to one spectrum;
+    # a 1e-7 admixture of |00><00| to a rank-4 separable state counts only at the default --tol-eig
+    e00 = np.eye(9)[0]
+    rho = (1 - weight) * helpers.separable_mixture(4) + weight * np.outer(e00, e00)
+    path = _state_file(tmp_path, "sep4", rho)
+    report = _run_json(capsys, ["analyze", path, "--tol-eig", tol_eig, *FAST])
+    ranks = report["ranks"]
+    assert (ranks["rank"], ranks["pt_rank"]) == (rank, rank)
+    kernel = report["witnesses"]["kernel"]
+    assert kernel["normalization"] == 1.0 / ((9 - ranks["rank"]) + (9 - ranks["pt_rank"]))

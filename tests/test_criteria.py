@@ -5,14 +5,12 @@ import pytest
 
 import helpers
 from conftest import EDGE_MIN_5_5, EDGE_MIN_6_6, TRACE_NORM_5_5, TRACE_NORM_6_6
-from pptedge import catalog
+from pptedge import catalog, linalg
 from pptedge.bipartite import BipartiteOperator, ProductVector, realign
 from pptedge.criteria import (
     certify_edge,
-    edge_objective,
     edge_operator,
     is_ppt,
-    range_membership,
     range_projectors,
     realignment_criterion,
 )
@@ -65,36 +63,43 @@ def test_realignment_criterion_product_and_mixed_states():
     assert abs(mixed.evidence - 1.0 / 3.0) < 1e-12
 
 
+def _edge_expectation(state, a, b) -> float:
+    """Expectation of the edge operator in the normalized product a (x) b: the edge objective at (a, b)."""
+    v = ProductVector(a, b).tensor()
+    op = edge_operator(*range_projectors(state), (3, 3))
+    return float(np.real(np.vdot(v, op.matrix @ v)))
+
+
 def test_edge_objective_vanishes_for_full_ranges():
     mixed = catalog.get("max_mixed")
     rng = np.random.default_rng(11)
     for _ in range(5):
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert edge_objective(mixed, a, b) < 1e-12
+        assert _edge_expectation(mixed, a, b) < 1e-12
 
 
 def test_edge_objective_phase_invariance(rho55):
     rng = np.random.default_rng(12)
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    base = edge_objective(rho55, a, b)
-    rotated = edge_objective(rho55, a * np.exp(0.7j), b * np.exp(-1.3j))
+    base = _edge_expectation(rho55, a, b)
+    rotated = _edge_expectation(rho55, a * np.exp(0.7j), b * np.exp(-1.3j))
     assert abs(base - rotated) < 1e-12
 
 
 def test_edge_objective_orthogonal_pair_is_two(rho55):
     # e0 (x) e0 is orthogonal to both stored ranges (their first coordinate vanishes)
-    value = edge_objective(rho55, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    value = _edge_expectation(rho55, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     assert abs(value - 2.0) < 1e-12
 
 
 def test_family_vectors_are_in_range_but_partners_are_not(rho55):
     for family in catalog.range_families("rho_5_5"):
         for pv in family.samples(25, seed=8):
-            in_range = range_membership(pv.tensor(), rho55, "rho")
+            in_range = linalg.residual_norm(pv.tensor(), linalg.span_projector(rho55.range_basis))
             assert in_range**2 < 1e-10
-            total = edge_objective(rho55, pv.a, pv.b)
+            total = _edge_expectation(rho55, pv.a, pv.b)
             assert total > 1e-6, family.name
 
 
@@ -144,24 +149,24 @@ def test_certificate_serializes(rho55, fast_cfg):
     assert payload["all_converged"] in (True, False)
 
 
-def test_range_membership_validation(rho55):
+def test_residual_norm_rejects_zero_vector_against_stored_range(rho55):
     with pytest.raises(ValueError):
-        range_membership(np.ones(9), rho55, "sideways")
-    with pytest.raises(ValueError):
-        range_membership(np.zeros(9), rho55, "rho")
-    with pytest.raises(ValueError):
-        range_membership(np.ones(9), catalog.get("max_mixed"), "rho")
+        linalg.residual_norm(np.zeros(9), linalg.span_projector(rho55.range_basis))
 
 
 @pytest.mark.parametrize("name", ["rho_5_5", "rho_6_6", "separable_rank4"])
 def test_edge_operator_expectation_is_edge_objective(name):
     state = BipartiteOperator(helpers.separable_mixture(4), 3, 3) if name == "separable_rank4" else catalog.get(name)
-    op = edge_operator(*range_projectors(state), (3, 3))
+    p_range, p_pt = range_projectors(state)
+    op = edge_operator(p_range, p_pt, (3, 3))
     assert op.is_hermitian()
     rng = np.random.default_rng(20)
     for _ in range(20):
         a, b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         expectation = float(np.real(np.vdot(v, op.matrix @ v)))
-        assert abs(expectation - edge_objective(state, a, b)) < 1e-12
+        # independent reference: the summed squared residuals of a (x) b and its partner a (x) conj(b)
+        r1 = linalg.residual_norm(np.kron(a, b), p_range)
+        r2 = linalg.residual_norm(np.kron(a, b.conj()), p_pt)
+        assert abs(expectation - (r1 * r1 + r2 * r2)) < 1e-12
 

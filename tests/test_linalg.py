@@ -80,11 +80,11 @@ def test_hermitian_eig_deterministic_on_degenerate_input():
 
 
 def test_hermitian_eig_rejects_bad_input():
-    # range_projector eigendecomposes behind the same Hermitian gate as numeric_rank
+    # Spectrum.of is the one Hermitian gate in front of every rank and range decision
     with pytest.raises(ValueError):
-        linalg.range_projector(np.ones((2, 3)))
+        linalg.Spectrum.of(np.ones((2, 3))).range_projector()
     with pytest.raises(ValueError):
-        linalg.range_projector(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.Spectrum.of(np.array([[0.0, 1.0], [0.0, 0.0]])).range_projector()
 
 
 def test_svd_zero_matrix():
@@ -123,20 +123,20 @@ def test_trace_norm_matches_abs_eigenvalues_on_hermitian():
 def test_numeric_rank_catalog(rho55, rho66):
     from pptedge.bipartite import partial_transpose
 
-    assert linalg.numeric_rank(rho55.state.matrix, 1e-9) == 5
-    assert linalg.numeric_rank(partial_transpose(rho66.state).matrix, 1e-9) == 6
+    assert linalg.Spectrum.of(rho55.state.matrix).rank(1e-9) == 5
+    assert linalg.Spectrum.of(partial_transpose(rho66.state).matrix).rank(1e-9) == 6
 
 
 def test_numeric_rank_trivial_cases():
-    assert linalg.numeric_rank(np.eye(9) / 9.0) == 9
-    assert linalg.numeric_rank(np.zeros((5, 5))) == 0
+    assert linalg.Spectrum.of(np.eye(9) / 9.0).rank() == 9
+    assert linalg.Spectrum.of(np.zeros((5, 5))).rank() == 0
 
 
 def test_numeric_rank_counts_negative_eigenvalues():
     # one rule for every Hermitian matrix: |w| > rel_tol * max|w|, with no positivity check
-    assert linalg.numeric_rank(np.diag([1.0, -1.0])) == 2
-    assert linalg.numeric_rank(np.diag([1.0, -1e-12, 0.0])) == 1
-    p = linalg.range_projector(np.diag([1.0, -1.0, 0.0]))
+    assert linalg.Spectrum.of(np.diag([1.0, -1.0])).rank() == 2
+    assert linalg.Spectrum.of(np.diag([1.0, -1e-12, 0.0])).rank() == 1
+    p = linalg.Spectrum.of(np.diag([1.0, -1.0, 0.0])).range_projector()
     assert np.abs(p - np.diag([1.0, 1.0, 0.0])).max() < 1e-14
 
 
@@ -151,8 +151,8 @@ def test_exact_matches_numeric_rank_on_catalog(rho55, rho66):
     from pptedge.bipartite import partial_transpose
 
     for entry in (rho55, rho66):
-        assert linalg.exact_rank(entry.exact) == linalg.numeric_rank(entry.state.matrix)
-        assert linalg.exact_rank(entry.exact_pt) == linalg.numeric_rank(partial_transpose(entry.state).matrix)
+        assert linalg.exact_rank(entry.exact) == linalg.Spectrum.of(entry.state.matrix).rank()
+        assert linalg.exact_rank(entry.exact_pt) == linalg.Spectrum.of(partial_transpose(entry.state).matrix).rank()
 
 
 def test_exact_rank_trivial():
@@ -183,22 +183,22 @@ def test_rational_matrix_validation():
 
 
 def test_range_projector_trivial():
-    assert np.abs(linalg.range_projector(np.eye(4)) - np.eye(4)).max() < 1e-14
+    assert np.abs(linalg.Spectrum.of(np.eye(4)).range_projector() - np.eye(4)).max() < 1e-14
     v = np.array([1.0, 1j, 0.0]) / np.sqrt(2)
-    p = linalg.range_projector(np.outer(v, v.conj()))
+    p = linalg.Spectrum.of(np.outer(v, v.conj())).range_projector()
     assert np.abs(p - np.outer(v, v.conj())).max() < 1e-12
 
 
 def test_projectors_catalog_traces(rho55, rho66):
-    p5 = linalg.range_projector(rho55.state.matrix)
-    p6 = linalg.range_projector(rho66.state.matrix)
+    p5 = linalg.Spectrum.of(rho55.state.matrix).range_projector()
+    p6 = linalg.Spectrum.of(rho66.state.matrix).range_projector()
     assert abs(np.trace(p5).real - 5.0) < 1e-10
     assert abs(np.trace(p6).real - 6.0) < 1e-10
 
 
 def test_projector_contracts(rho55):
     m = rho55.state.matrix
-    p = linalg.range_projector(m)
+    p = linalg.Spectrum.of(m).range_projector()
     assert np.abs(p @ p - p).max() < 1e-12
     assert np.abs(p - p.conj().T).max() < 1e-12
     assert np.abs(p @ m - m).max() <= 1e-10 * np.linalg.norm(m)
@@ -207,7 +207,7 @@ def test_projector_contracts(rho55):
 def test_span_projector_matches_eigen_route(rho55, rho66):
     for entry in (rho55, rho66):
         p_basis = linalg.span_projector(entry.range_basis)
-        p_eig = linalg.range_projector(entry.state.matrix)
+        p_eig = linalg.Spectrum.of(entry.state.matrix).range_projector()
         assert np.abs(p_basis - p_eig).max() < 1e-10
 
 
