@@ -31,11 +31,9 @@ from .exceptions import MatrixFileError, NotApplicableError
 from .linalg import (
     RationalMatrix,
     Spectrum,
-    SvdResult,
     exact_rank,
     residual_norm,
     span_projector,
-    svd,
     trace_norm,
 )
 from .optimize import (
@@ -63,7 +61,6 @@ __all__ = [
     "RationalMatrix",
     "SeeSawConfig",
     "Spectrum",
-    "SvdResult",
     "Witness",
     "certify_edge",
     "edge_operator",
@@ -87,7 +84,6 @@ __all__ = [
     "schmidt_coefficients",
     "shift_witness",
     "span_projector",
-    "svd",
     "trace_norm",
     "validate_density",
     "write_matrix_file",

@@ -82,6 +82,11 @@ class BipartiteOperator:
         """Partial transpose on party B, computed on first use (see :func:`partial_transpose`)."""
         return BipartiteOperator(transpose_b(self.matrix, self.dim_a, self.dim_b), self.dim_a, self.dim_b)
 
+    @cached_property
+    def realigned_trace_norm(self) -> float:
+        """Trace norm of :func:`realign` of the matrix, computed on first use; the realignment decision reads it."""
+        return linalg.trace_norm(realign(self))
+
 
 def validate_density(op: BipartiteOperator, psd_tol: float = 1e-12) -> None:
     """Check the density-matrix role: Hermitian, unit trace, PSD within ``psd_tol``."""

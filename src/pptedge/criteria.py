@@ -19,7 +19,8 @@ Each decision is made once, on the cached spectra ``op.spectrum`` and
 the ``rel_tol`` rule of :class:`~pptedge.linalg.Spectrum`, which applies no
 positivity check of its own. :func:`certify_edge` makes both decisions, and
 its :class:`EdgeCertificate` carries the projectors to every later consumer,
-such as :func:`~pptedge.witness.kernel_witness`.
+such as :func:`~pptedge.witness.kernel_witness`. The realignment decision
+reads the cached ``op.realigned_trace_norm``, and so does its witness.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bipartite import BipartiteOperator, ProductVector, partial_transpose, realign
+from .bipartite import BipartiteOperator, ProductVector, partial_transpose
 from .catalog import CatalogEntry, operator_and_name
 from .exceptions import NotApplicableError
 from .optimize import OptResult, SeeSawConfig, min_generic_quadratic
@@ -143,9 +144,9 @@ def is_ppt(state: BipartiteOperator | CatalogEntry, tol: float = 1e-12) -> Crite
 
 
 def realignment_criterion(state: BipartiteOperator | CatalogEntry) -> CriterionReport:
-    """Realignment test: entanglement is flagged when the realigned trace norm exceeds one."""
+    """Realignment test: entanglement is flagged when the realigned trace norm, cached on the operator, exceeds one."""
     op, _ = operator_and_name(state)
-    evidence = linalg.trace_norm(realign(op))
+    evidence = op.realigned_trace_norm
     verdict = "violated" if evidence > 1.0 + REALIGNMENT_SLACK else "pass"
     return CriterionReport("realignment", verdict, evidence, REALIGNMENT_SLACK)
 

@@ -1,10 +1,8 @@
 """Dense complex linear algebra on small matrices, plus exact rational rank.
 
 All numeric routines work on plain ``complex128`` numpy arrays at the scale
-used in this package (at most a few dozen rows). :func:`svd` is made
-deterministic by a fixed phase convention and a lexicographic tie-break for
-groups of equal singular values, so identical inputs always produce identical
-outputs.
+used in this package (at most a few dozen rows). The package's one phase
+convention is :func:`phase_fix`; :func:`trace_norm` is its one trace norm.
 
 Numeric rank has one rule, kept in :class:`Spectrum`, the one
 eigendecomposition that every rank, positivity and range decision reads: an
@@ -33,13 +31,11 @@ __all__ = [
     "HERMITIAN_ATOL",
     "RationalMatrix",
     "Spectrum",
-    "SvdResult",
     "exact_rank",
     "is_hermitian",
     "phase_fix",
     "residual_norm",
     "span_projector",
-    "svd",
     "trace_norm",
 ]
 
@@ -73,82 +69,25 @@ def _require_hermitian(m, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def _pivot_phases(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors (last axis) rotated so the first largest-modulus entry is exactly real and >= 0, and their phases.
+def phase_fix(v: np.ndarray) -> np.ndarray:
+    """Rotate a global phase so the first largest-modulus component is exactly real and >= 0.
 
-    The pivot is set to its modulus, since times its phase it keeps a roundoff imaginary part.
+    Stacked input is fixed vector by vector along the last axis; zero
+    vectors are returned unchanged. The pivot is set to its modulus, since
+    times its phase it keeps a roundoff imaginary part, and a pivot that is
+    already real and positive gets phase exactly 1, so the fix is idempotent
+    bit for bit.
     """
+    vectors = np.asarray(v, dtype=complex)
     idx = np.argmax(np.abs(vectors), axis=-1)[..., None]
     piv = np.take_along_axis(vectors, idx, axis=-1)
     mag = np.abs(piv)
-    safe = np.where(mag > 0.0, mag, 1.0)  # zero vectors get phase 1
+    safe = np.where(mag > 0.0, mag, 1.0)
     # real divisions give a real positive pivot the phase exactly 1
     phases = np.where(mag > 0.0, piv.real / safe - 1j * (piv.imag / safe), 1.0)
     fixed = vectors * phases
     np.put_along_axis(fixed, idx, mag, axis=-1)
-    return fixed, phases[..., 0]
-
-
-def phase_fix(v: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first largest-modulus component is real and >= 0.
-
-    Stacked input is fixed vector by vector along the last axis.
-    """
-    return _pivot_phases(np.asarray(v, dtype=complex))[0]
-
-
-def _tie_break_order(values: np.ndarray, vectors: np.ndarray, tol) -> np.ndarray:
-    """Column order sorting each group of (numerically) equal values lexicographically by (re, im) entries.
-
-    A group starts at a value and takes every following value within ``tol``
-    of that start. Stacks (``values`` (..., k), ``vectors`` (..., m, k)) are
-    ordered matrix by matrix, ``tol`` broadcasting against ``values[..., 0]``.
-    """
-    group = np.zeros(values.shape, dtype=int)
-    start = values[..., 0]
-    for j in range(1, values.shape[-1]):
-        new = values[..., j] - start > tol
-        group[..., j] = group[..., j - 1] + new
-        start = np.where(new, values[..., j], start)
-    cols = np.swapaxes(vectors, -1, -2)
-    # np.lexsort takes its primary key last
-    keys = [part[..., i] for i in reversed(range(cols.shape[-1])) for part in (cols.imag, cols.real)]
-    return np.lexsort([*keys, group])
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Reduced singular value decomposition ``m = u @ diag(values) @ v.conj().T``.
-
-    Singular values are descending and nonnegative; ``u`` and ``v`` have
-    orthonormal columns. Each column of ``u`` follows the :func:`phase_fix`
-    convention, with ``v`` rotated by the same phase, and columns of
-    (numerically) equal singular values are ordered lexicographically by
-    their ``u`` entries.
-    """
-
-    u: np.ndarray
-    values: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.values) @ self.v.conj().T
-
-    @property
-    def trace_norm(self) -> float:
-        return float(self.values.sum())
-
-
-def svd(m) -> SvdResult:
-    """Deterministic reduced SVD; defined for every finite matrix."""
-    a = _as_matrix(m)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    v = vh.conj().T
-    ut, ph = _pivot_phases(u.T)
-    u, v = ut.T, v * ph  # same phase on both factors keeps u_j v_j^dagger invariant
-    scale = max(1.0, float(s.max())) if s.size else 1.0
-    order = _tie_break_order(-s, u, HERMITIAN_ATOL * scale)
-    return SvdResult(u=u[:, order], values=s[order], v=v[:, order])
+    return fixed
 
 
 def trace_norm(m) -> float:

@@ -93,12 +93,16 @@ def write_matrix_file(path, op: BipartiteOperator, metadata: dict | None = None)
 
 
 def read_matrix_file(path) -> tuple[BipartiteOperator, dict]:
+    """Read and decode a matrix file; a file that is unreadable, not UTF-8, or not a payload raises :class:`MatrixFileError`."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MatrixFileError(f"cannot read matrix file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"matrix file {path} is not UTF-8: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, an integer past the digit limit, or nesting past the recursion limit
         raise MatrixFileError(f"matrix file {path} is not valid JSON: {exc}") from exc
     return parse_matrix_payload(payload)

@@ -11,12 +11,12 @@ heuristic as that minimum, and no second see-saw runs. The witness is a pure
 function of that :class:`~pptedge.criteria.EdgeCertificate`: the PPT gate,
 the rank decisions and the projectors are the certificate's, made once.
 
-The realignment witness applies whenever the realigned state has trace
-norm above one: with R(rho) = U D V^dagger, the Hermitian part of
-(identity - R(U V^dagger)) has expectation
-1 - sum(singular values) < 0 on rho while staying nonnegative on every
-product state, since R maps product projectors to rank-one matrices of unit
-Frobenius norm and R(U V^dagger) has operator norm one.
+The realignment witness is built exactly when the realignment criterion
+says "violated": with R(rho) = U D V^dagger, the Hermitian part of
+(identity - R(U V^dagger)) has expectation 1 - sum(singular values) < 0 on
+rho while staying nonnegative on every product state, since R maps product
+projectors to rank-one matrices of unit Frobenius norm and the aligner
+U V^dagger has operator norm one.
 
 Shifted variants subtract (Tr(W rho) + eps) * identity, leaving a witness
 that detects rho by exactly -eps; with small eps these barely-detecting
@@ -29,10 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linalg
 from .bipartite import BipartiteOperator, realign
 from .catalog import CatalogEntry, operator_and_name
-from .criteria import REALIGNMENT_SLACK, EdgeCertificate, edge_operator, kernel_dims
+from .criteria import EdgeCertificate, edge_operator, kernel_dims, realignment_criterion
 from .exceptions import NotApplicableError
 from .optimize import OptResult, SeeSawConfig, min_schmidt2_expectation
 
@@ -131,20 +130,25 @@ def kernel_witness(edge: EdgeCertificate) -> Witness:
 
 
 def realignment_witness(state: BipartiteOperator | CatalogEntry) -> Witness:
-    """Witness from the singular vectors of the realigned state.
+    """Witness W2 = I - R(U V^dagger), Hermitized, from the SVD R(rho) = U D V^dagger of the realigned state.
 
-    Applicable when the realigned trace norm exceeds one; then the witness
-    expectation on the state equals 1 - trace norm < 0. Raises
-    :class:`NotApplicableError` otherwise.
+    Built exactly when :func:`~pptedge.criteria.realignment_criterion` says
+    "violated", and then Tr(W2 rho) = 1 - trace norm < 0; otherwise raises
+    :class:`NotApplicableError` with the criterion's evidence. The SVD needs
+    no convention: W2 depends on it only through the polar factor U V^dagger,
+    which a common phase or a common rotation inside a group of equal
+    singular values leaves unchanged, and inside the null space of R(rho)
+    any pairing of U and V gives a unitary aligner, of operator norm one,
+    which is all the witness argument uses.
     """
     op, name = operator_and_name(state)
-    res = linalg.svd(realign(op))
-    total = res.trace_norm
-    if total <= 1.0 + REALIGNMENT_SLACK:
-        raise NotApplicableError(f"realignment witness requires trace norm > 1, got {total:.12g}")
+    report = realignment_criterion(op)
+    if report.verdict != "violated":
+        raise NotApplicableError(f"realignment witness requires trace norm > 1, got {report.evidence:.12g}")
     # rearranging (left factors) @ (right factors)^dagger makes the pairing
     # with the state collapse onto the singular values
-    aligner = res.u @ res.v.conj().T
+    u, _, vh = np.linalg.svd(realign(op))
+    aligner = u @ vh
     raw = np.eye(op.dim, dtype=complex) - realign(BipartiteOperator(aligner, op.dim_a, op.dim_b))
     herm = (raw + raw.conj().T) / 2
     return Witness(

@@ -4,9 +4,7 @@ Everything here deliberately avoids the library code paths it is used to
 check: trace norms come from the eigenvalues of a Hermitian dilation rather
 than an SVD, ranks from plain Gaussian elimination over Fractions rather
 than Bareiss, and product-state minima from a closed-form scan rather than
-see-saw alternation. The one exception is :func:`canonical_eigenbasis`, a
-convention rather than an oracle: it applies the library's own phase and
-tie-break rules to ``np.linalg.eigh`` output, so the tests can check them.
+see-saw alternation.
 """
 
 from __future__ import annotations
@@ -15,21 +13,28 @@ from fractions import Fraction
 
 import numpy as np
 
-from pptedge.linalg import HERMITIAN_ATOL, _tie_break_order, phase_fix
 
+def _dilation_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian dilation [[0, M], [M^dag, 0]]: plus/minus the singular values of M.
 
-def dilation_trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values via the Hermitian dilation [[0, M], [M^dag, 0]].
-
-    The dilation's eigenvalues are plus/minus the singular values of M, so the
-    positive ones sum to the trace norm without squaring M (full precision).
+    They come without squaring M, so at full precision.
     """
     n, k = m.shape
     h = np.zeros((n + k, n + k), dtype=complex)
     h[:n, n:] = m
     h[n:, :n] = m.conj().T
-    w = np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(h)
+
+
+def dilation_trace_norm(m: np.ndarray) -> float:
+    """Sum of singular values: the positive eigenvalues of the Hermitian dilation."""
+    w = _dilation_eigenvalues(m)
     return float(np.sum(w[w > 0]))
+
+
+def dilation_operator_norm(m: np.ndarray) -> float:
+    """Largest singular value: the largest eigenvalue of the Hermitian dilation."""
+    return float(_dilation_eigenvalues(m)[-1])
 
 
 def gauss_rank(rows) -> int:
@@ -104,16 +109,3 @@ def separable_mixture(rank: int) -> np.ndarray:
         v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         rho += np.outer(v, v.conj()) / rank
     return rho
-
-
-def canonical_eigenbasis(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Put ``np.linalg.eigh`` output into the deterministic convention, matrix by matrix for stacks.
-
-    Each eigenvector is phase-fixed, and eigenvectors of eigenvalues equal
-    within ``HERMITIAN_ATOL`` (scaled by max(1, largest |eigenvalue|)) are
-    ordered lexicographically.
-    """
-    v = np.swapaxes(phase_fix(np.swapaxes(v, -1, -2)), -1, -2)
-    scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
-    order = _tie_break_order(w, v, HERMITIAN_ATOL * scale)
-    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +254,15 @@ def test_schmidt2_cli_parse_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["analyze", "schmidt2"])
+@pytest.mark.parametrize("name", ["not_utf8", "deeply_nested"])
+def test_undecodable_file_exit_2(tmp_path, capsys, command, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes({"not_utf8": b"\xff\xfe", "deeply_nested": b"[" * 100_000}[name])
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: matrix file {path}")
+
+
 def test_unknown_catalog_name_is_parse_error(capsys):
     assert main(["analyze", "rho_9_9"]) == 2
     capsys.readouterr()
@@ -418,6 +430,35 @@ def test_analyze_decomposes_each_matrix_once(tmp_path, monkeypatch, capsys, name
     assert main(["analyze", path, *FAST]) == exit_code
     capsys.readouterr()
     assert len(solves) == expected, solves
+
+
+def test_utf8_file_reads_under_an_ascii_locale(tmp_path):
+    # JSON text is UTF-8 whatever the locale; with coercion off, POSIX makes Python's default encoding ASCII
+    path = tmp_path / "noise.json"
+    payload = {"dims": [3, 3], "matrix": [[[1 / 9 if i == j else 0.0, 0.0] for j in range(9)] for i in range(9)]}
+    path.write_text(json.dumps({**payload, "metadata": {"name": "\u03c1 = I/9"}}, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="POSIX", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "pptedge", "certify-edge", str(path)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verdict"] == "not edge"
+
+
+def test_analyze_full_rank_ppt_file_makes_one_svd(tmp_path, monkeypatch, capsys):
+    # the reported realignment verdict is the witness's gate: one values-only SVD decides both
+    path = _state_file(tmp_path, "full_rank_ppt", 0.9 * catalog.rho_5_5().state.matrix + 0.1 * np.eye(9) / 9)
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = _run_json(capsys, ["analyze", path, *FAST])
+    assert report["realignment"]["verdict"] == "pass"
+    assert report["witnesses"]["realign"]["skipped"].startswith("realignment witness requires trace norm > 1")
+    assert calls == [(9, 9)]
 
 
 def test_analyze_catalog_state_decomposes_once_per_process(monkeypatch, capsys):

@@ -86,6 +86,33 @@ def test_unreadable_and_invalid_files(tmp_path):
         read_matrix_file(bad)
 
 
+# bytes that are not UTF-8, nesting past the recursion limit, and an integer past the digit limit
+UNDECODABLE_FILES = {
+    "not_utf8": b"\xff\xfe",
+    "deeply_nested": b"[" * 100_000,
+    "long_integer": b"1" * 5000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE_FILES))
+def test_undecodable_files_raise_matrix_file_error(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNDECODABLE_FILES[name])
+    with pytest.raises(MatrixFileError):
+        read_matrix_file(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64))
+def test_any_file_reads_or_raises_matrix_file_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "any_bytes.json"
+    path.write_bytes(data)
+    try:
+        read_matrix_file(path)
+    except MatrixFileError:
+        pass
+
+
 # JSON scalars, with integers beyond float range, and arbitrary JSON values built from them
 _SCALARS = (
     st.none()

@@ -3,8 +3,8 @@ import pytest
 
 import helpers
 from conftest import EPS_5_5, EPS_6_6, TRACE_NORM_5_5, TRACE_NORM_6_6
-from pptedge import catalog, linalg
-from pptedge.criteria import certify_edge, edge_operator
+from pptedge import catalog
+from pptedge.criteria import certify_edge, edge_operator, realignment_criterion
 from pptedge.bipartite import BipartiteOperator, realign
 from pptedge.exceptions import NotApplicableError
 from pptedge.optimize import SeeSawConfig, min_generic_quadratic
@@ -104,8 +104,8 @@ def test_realignment_witness_is_hermitian(w2_55, w2_66):
 
 
 def test_realignment_witness_hermitization_preserves_evaluation(rho55):
-    res = linalg.svd(realign(rho55.state))
-    aligner = res.u @ res.v.conj().T
+    u, _, vh = np.linalg.svd(realign(rho55.state))
+    aligner = u @ vh
     raw = np.eye(9, dtype=complex) - realign(BipartiteOperator(aligner, 3, 3))
     herm = (raw + raw.conj().T) / 2
     raw_value = float(np.real(np.trace(raw.conj().T @ rho55.state.matrix)))
@@ -122,6 +122,73 @@ def test_realignment_witness_nonnegative_on_products(w2_55, w2_66, fast_cfg):
 def test_realignment_witness_requires_violation():
     with pytest.raises(NotApplicableError):
         realignment_witness(catalog.get("max_mixed"))
+
+
+@pytest.fixture(scope="module")
+def realignment_detected():
+    """rho_5_5, rho_6_6 and 5 seeded NPT states whose realigned trace norm, by the dilation oracle, exceeds 1."""
+    rng = np.random.default_rng(2024)
+    states = [catalog.rho_5_5().state, catalog.rho_6_6().state]
+    while len(states) < 7:
+        g = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+        g[:, rng.integers(1, 4) :] = 0.0  # rank 1 to 3
+        rho = g @ g.conj().T
+        op = BipartiteOperator((rho + rho.conj().T) / (2 * np.trace(rho).real), 3, 3)
+        if helpers.dilation_trace_norm(realign(op)) > 1.0 + 1e-6 and np.linalg.eigvalsh(op.pt.matrix)[0] < 0.0:
+            states.append(op)
+    return states
+
+
+def _realigned_complement_norm(w: np.ndarray) -> float:
+    """||R(I - W)||_2 by the dilation oracle.
+
+    <ab|I - W|ab> is the Frobenius pairing of R(I - W) with R(|ab><ab|), a
+    rank-one matrix of unit trace norm, so a norm of at most 1 proves W
+    nonnegative on every product state without any optimizer.
+    """
+    return helpers.dilation_operator_norm(realign(BipartiteOperator(np.eye(9) - w, 3, 3)))
+
+
+def test_realignment_witness_satisfies_the_product_bound_exactly(realignment_detected):
+    for op in realignment_detected:
+        w = realignment_witness(op).operator.matrix
+        assert _realigned_complement_norm(w) <= 1.0 + 1e-12
+        # an aligner scaled by 1.01 scales I - W with it, and the bound fails
+        assert _realigned_complement_norm(np.eye(9) - 1.01 * (np.eye(9) - w)) > 1.0 + 1e-12
+
+
+def test_realignment_witness_nonnegative_on_random_products(realignment_detected):
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((2, 10_000, 3)) + 1j * rng.standard_normal((2, 10_000, 3))
+    v = (a[:, :, None] * b[:, None, :]).reshape(-1, 9)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    for op in realignment_detected:
+        w = realignment_witness(op).operator.matrix
+        assert np.einsum("ni,ij,nj->n", v.conj(), w, v).real.min() >= -1e-12
+
+
+def test_realignment_witness_is_built_exactly_when_the_criterion_is_violated(rho55):
+    # p rho_5_5 + (1 - p) I/9 passes the criterion at p = 0 and violates it at p = 1
+    def state(p: float) -> BipartiteOperator:
+        return BipartiteOperator(p * rho55.state.matrix + (1.0 - p) * np.eye(9) / 9.0, 3, 3)
+
+    lo, hi = 0.0, 1.0
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (lo, mid) if realignment_criterion(state(mid)).verdict == "violated" else (mid, hi)
+    verdicts, disagreements = set(), []
+    for p in hi + np.arange(-2000, 2001) * np.spacing(hi):
+        op = state(p)
+        verdict = realignment_criterion(op).verdict
+        verdicts.add(verdict)
+        try:
+            realignment_witness(op)
+            built = True
+        except NotApplicableError:
+            built = False
+        if built != (verdict == "violated"):
+            disagreements.append(p)
+    assert verdicts == {"pass", "violated"}
+    assert disagreements == []
 
 
 def test_shift_witness_algebra(rho55, w1_55):
