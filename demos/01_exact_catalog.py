@@ -15,8 +15,7 @@ np.set_printoptions(linewidth=140, suppress=True)
 for entry in (rho_5_5(), rho_6_6()):
     print("=" * 70)
     print(f"state {entry.name}   (denominator {entry.denominator})")
-    numerator = np.real(entry.exact.to_complex()).astype(int)
-    print(numerator)
+    print(entry.exact)
 
     # Exact ranks never touch floating point; the numeric path must agree.
     print(f"exact rank            : {exact_rank(entry.exact)}")

@@ -29,7 +29,6 @@ from .criteria import (
 )
 from .exceptions import MatrixFileError, NotApplicableError
 from .linalg import (
-    RationalMatrix,
     Spectrum,
     exact_rank,
     residual_norm,
@@ -58,7 +57,6 @@ __all__ = [
     "ProductVector",
     "ProductVectorFamily",
     "RankTwoFactors",
-    "RationalMatrix",
     "SeeSawConfig",
     "Spectrum",
     "Witness",

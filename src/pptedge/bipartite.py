@@ -45,17 +45,15 @@ class BipartiteOperator:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def from_matrix(cls, matrix, dims: tuple[int, int] | None = None) -> "BipartiteOperator":
-        """Wrap a square matrix; symmetric dims are inferred when not given."""
+    def from_matrix(cls, matrix) -> "BipartiteOperator":
+        """Wrap a square d^2 x d^2 matrix, split as d x d."""
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        if dims is None:
-            root = round(mat.shape[0] ** 0.5)
-            if root * root != mat.shape[0]:
-                raise ValueError("cannot infer tensor dims for a non-square total dimension; pass dims")
-            dims = (root, root)
-        return cls(mat, dims[0], dims[1])
+        root = round(mat.shape[0] ** 0.5)
+        if root * root != mat.shape[0]:
+            raise ValueError(f"cannot split dimension {mat.shape[0]} as d x d; wrap the matrix in a BipartiteOperator")
+        return cls(mat, root, root)
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .bipartite import BipartiteOperator, ProductVector, transpose_b
-from .linalg import RationalMatrix
 
 __all__ = [
     "CATALOG_NAMES",
@@ -37,7 +36,6 @@ __all__ = [
     "reference_states",
     "rho_5_5",
     "rho_6_6",
-    "separable_product_vectors",
 ]
 
 _RHO_5_5_NUM = (
@@ -107,16 +105,17 @@ _SEPARABLE_TERMS = 20
 class CatalogEntry:
     """A named state together with its exact data and expected invariants.
 
-    ``exact`` holds the integer numerator matrix and ``denominator`` its
-    common denominator, so ``state.matrix == exact / denominator`` entrywise
-    whenever ``exact`` is present. Range bases are exact integer vectors
-    spanning the range of the state and of its partial transpose; reference
-    entries without a useful exact description carry ``None`` there.
+    ``exact`` holds the integer numerator matrix, a read-only ``int64``
+    array, and ``denominator`` its common denominator, so
+    ``state.matrix == exact / denominator`` entrywise whenever ``exact`` is
+    present. Range bases are exact integer vectors spanning the range of the
+    state and of its partial transpose; reference entries without a useful
+    exact description carry ``None`` there.
     """
 
     name: str
     state: BipartiteOperator
-    exact: RationalMatrix | None
+    exact: np.ndarray | None
     denominator: int
     expected_rank: int
     expected_pt_rank: int
@@ -124,12 +123,11 @@ class CatalogEntry:
     pt_range_basis: tuple[np.ndarray, ...] | None
 
     @property
-    def exact_pt(self) -> RationalMatrix | None:
+    def exact_pt(self) -> np.ndarray | None:
         """Numerator of the partial transpose, by exact index permutation."""
         if self.exact is None:
             return None
-        pt = transpose_b(np.array(self.exact.entries, dtype=object), self.state.dim_a, self.state.dim_b)
-        return RationalMatrix.from_rows(pt.tolist())
+        return transpose_b(self.exact, self.state.dim_a, self.state.dim_b)
 
 
 def operator_and_name(
@@ -137,6 +135,12 @@ def operator_and_name(
 ) -> tuple[BipartiteOperator, str]:
     """The operator of a state and its catalog name, or ``default`` for a bare operator."""
     return (state.state, state.name) if isinstance(state, CatalogEntry) else (state, default)
+
+
+def _numerator(rows) -> np.ndarray:
+    num = np.array(rows, dtype=np.int64)
+    num.setflags(write=False)
+    return num
 
 
 def _basis_arrays(rows: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
@@ -149,8 +153,8 @@ def _basis_arrays(rows: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
 
 
 def _integer_entry(name: str, numerator, rank: int, pt_rank: int, basis, pt_basis) -> CatalogEntry:
-    exact = RationalMatrix.from_rows(numerator)
-    state = BipartiteOperator(exact.to_complex() / 13.0, 3, 3)
+    exact = _numerator(numerator)
+    state = BipartiteOperator(exact / 13.0, 3, 3)
     return CatalogEntry(
         name=name,
         state=state,
@@ -174,11 +178,10 @@ def rho_6_6() -> CatalogEntry:
 
 
 def _max_mixed() -> CatalogEntry:
-    num = [[1 if i == j else 0 for j in range(9)] for i in range(9)]
     return CatalogEntry(
         name="max_mixed",
         state=BipartiteOperator(np.eye(9, dtype=complex) / 9.0, 3, 3),
-        exact=RationalMatrix.from_rows(num),
+        exact=_numerator(np.eye(9)),
         denominator=9,
         expected_rank=9,
         expected_pt_rank=9,
@@ -197,7 +200,7 @@ def _max_entangled() -> CatalogEntry:
     return CatalogEntry(
         name="max_entangled",
         state=BipartiteOperator(mat, 3, 3),
-        exact=RationalMatrix.from_rows(num),
+        exact=_numerator(num),
         denominator=3,
         expected_rank=1,
         expected_pt_rank=9,
@@ -227,17 +230,6 @@ def _separable_sample() -> CatalogEntry:
         range_basis=None,
         pt_range_basis=None,
     )
-
-
-def separable_product_vectors() -> list[ProductVector]:
-    """The constituent product vectors of ``separable_sample``, same seed and order."""
-    rng = np.random.default_rng(_SEPARABLE_SEED)
-    out = []
-    for _ in range(_SEPARABLE_TERMS):
-        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        out.append(ProductVector(a, b))
-    return out
 
 
 def reference_states() -> tuple[CatalogEntry, ...]:

@@ -10,8 +10,8 @@ eigenvalue counts when its modulus exceeds ``rel_tol`` times the largest
 modulus, for any Hermitian matrix, definite or not. Positivity is decided
 by the callers' own tolerances, not here.
 
-The exact path (:class:`RationalMatrix`, :func:`exact_rank`) performs
-fraction-free Bareiss elimination over Python integers and never rounds.
+The exact path, :func:`exact_rank`, performs fraction-free Bareiss
+elimination over Python integers and never rounds.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ DEFAULT_RANK_RTOL = 1e-9
 __all__ = [
     "DEFAULT_RANK_RTOL",
     "HERMITIAN_ATOL",
-    "RationalMatrix",
     "Spectrum",
     "exact_rank",
     "is_hermitian",
@@ -161,48 +160,24 @@ def residual_norm(vec, projector: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Exact rational matrix; every operation on it avoids floating point."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if data and any(len(row) != len(data[0]) for row in data):
-            raise ValueError("rows have inconsistent lengths")
-        return cls(entries=data)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def to_complex(self) -> np.ndarray:
-        return np.array([[complex(x) for x in row] for row in self.entries], dtype=complex)
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entries[ij[0]][ij[1]]
-
-
 def exact_rank(m) -> int:
     """Rank over the rationals via fraction-free Bareiss elimination.
 
-    Accepts a :class:`RationalMatrix` or any nested sequence of ints/Fractions.
-    Each row is scaled to integers first; elimination then stays in Python
-    integers, with every interior division exact by the Bareiss identity.
+    Accepts any nested sequence or array of ints/Fractions; rows of unequal
+    length raise ``ValueError``. Each row is scaled to integers first;
+    elimination then stays in Python integers, with every interior division
+    exact by the Bareiss identity.
     """
-    rows = m.entries if isinstance(m, RationalMatrix) else [[Fraction(x) for x in row] for row in m]
+    # numpy integers convert to Fraction several times slower than Python ints
+    rows = [[Fraction(x) for x in row] for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
     if not rows:
         return 0
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("rows have inconsistent lengths")
     work: list[list[int]] = []
     for row in rows:
         den = lcm(*(f.denominator for f in row)) if row else 1
-        work.append([int(f * den) for f in row])
+        work.append([f.numerator * (den // f.denominator) for f in row])
     n_rows, n_cols = len(work), len(work[0])
     rank = 0
     prev = 1

@@ -32,6 +32,7 @@ carries no global optimality certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -56,21 +57,19 @@ class SeeSawConfig:
     is reached early (see the module docstring). ``conv_tol`` is the absolute
     objective decrease over one full sweep below which a restart counts as
     converged, and also the floor of the tolerance within which restarts
-    count as reaching the best value; ``record_trace`` additionally stores
-    the per-half-step objective values of every restart.
+    count as reaching the best value. ``seed`` is a nonnegative integer.
     """
 
     restarts: int = 200
     max_iter: int = 500
     conv_tol: float = 1e-12
     seed: int = 42
-    record_trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name, low in (("restarts", 1), ("max_iter", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not self.conv_tol > 0.0:
             raise ValueError("conv_tol must be > 0")
 
@@ -96,8 +95,6 @@ class OptResult:
     restarts that ran, in index order. ``best_value`` is the minimum of
     ``restart_values``; ``best_index`` the first restart attaining it;
     ``argmin`` re-evaluates to ``best_value``.
-    ``traces`` (only with ``record_trace``) holds per-restart tuples of the
-    objective after every half-step, which are non-increasing by construction.
     """
 
     best_value: float
@@ -106,7 +103,6 @@ class OptResult:
     iterations_used: np.ndarray
     converged: np.ndarray
     best_index: int
-    traces: tuple[tuple[float, ...], ...] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -118,19 +114,13 @@ class OptResult:
         }
 
 
-def _objective(
-    operator: BipartiteOperator | np.ndarray, dims: tuple[int, int] | None
-) -> tuple[np.ndarray, tuple[int, int]]:
+def _objective(operator: BipartiteOperator | np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
     """The Hermitian matrix of the objective and its tensor split.
 
-    A :class:`BipartiteOperator` brings its own split unless ``dims`` is
-    given; a plain matrix is split by :meth:`BipartiteOperator.from_matrix`.
+    A :class:`BipartiteOperator` brings its own split; a plain matrix is
+    split as d x d by :meth:`BipartiteOperator.from_matrix`.
     """
-    if isinstance(operator, BipartiteOperator):
-        if dims is None:
-            dims = (operator.dim_a, operator.dim_b)
-        operator = operator.matrix
-    op = BipartiteOperator.from_matrix(operator, dims)
+    op = operator if isinstance(operator, BipartiteOperator) else BipartiteOperator.from_matrix(operator)
     if not op.is_hermitian():
         raise ValueError("objective operator must be Hermitian within 1e-12")
     return op.matrix, (op.dim_a, op.dim_b)
@@ -144,15 +134,6 @@ def _starts(seed: int, indices: range, dim: int, rank: int) -> np.ndarray:
         z = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
         out[i] = z.T / np.linalg.norm(z)
     return out
-
-
-def _orthonormal_columns(f: np.ndarray) -> np.ndarray:
-    """Q (n, k, 2) with orthonormal columns and F = Q (Q^H F) for each F (n, k, 2).
-
-    This holds for rank-deficient and zero F too. One batched LAPACK QR
-    (``geqrf``/``ungqr``), which factors each matrix of the stack on its own.
-    """
-    return np.linalg.qr(f)[0]
 
 
 def _half_step(h: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
@@ -178,7 +159,9 @@ def _half_step(h: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
     def step(fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n, _, rank = fixed.shape
         if rank > 1:
-            fixed = _orthonormal_columns(fixed)
+            # F = Q (Q^H F) holds for rank-deficient and zero F too, and LAPACK
+            # (geqrf/ungqr) factors each matrix of the stack on its own
+            fixed = np.linalg.qr(fixed)[0]
         ft = fixed.transpose(0, 2, 1)
         outer = (ft.conj()[:, :, None, :, None] * ft[:, None, :, None, :]).reshape(n, rank * rank, m * m)
         eff = (outer @ mat).reshape(n, rank, rank, d, d).transpose(0, 3, 1, 4, 2).reshape(n, d * rank, d * rank)
@@ -200,7 +183,6 @@ def _see_saw(
     fixed: np.ndarray,
     free: np.ndarray,
     half_steps: tuple[Callable, Callable],
-    traces: list[list[float]] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternate the two half-steps on every restart of one round until its sweep stops improving.
 
@@ -218,12 +200,9 @@ def _see_saw(
     for _ in range(cfg.max_iter):
         if active.size == 0:
             break
-        w_free, x, y = half_steps[0](fixed[active])
+        _, x, y = half_steps[0](fixed[active])
         w_fixed, y, x = half_steps[1](y)
         fixed[active], free[active] = x, y
-        if traces is not None:
-            for r, first, second in zip(active, w_free, w_fixed):
-                traces[r].extend((float(first), float(second)))
         done = np.abs(values[active] - w_fixed) < cfg.conv_tol
         values[active] = w_fixed
         iterations[active] += 1
@@ -249,22 +228,18 @@ def _multistart(
     values = np.empty(0)
     iterations = np.empty(0, dtype=int)
     converged = np.empty(0, dtype=bool)
-    traces: list[list[float]] | None = [] if cfg.record_trace else None
     best_value, best_index, best_pair = np.inf, 0, None
     for lo in range(0, cfg.restarts, _ROUND):
         indices = range(lo, min(lo + _ROUND, cfg.restarts))
         fixed = _starts(cfg.seed, indices, rows[0], rank)
         free = np.zeros((len(indices), rows[1], rank), dtype=complex)
-        round_traces = [[] for _ in indices] if traces is not None else None
-        v, it, conv = _see_saw(cfg, fixed, free, half_steps, round_traces)
+        v, it, conv = _see_saw(cfg, fixed, free, half_steps)
         k = int(np.argmin(v))
         if best_pair is None or v[k] < best_value:
             best_value, best_index, best_pair = float(v[k]), lo + k, (fixed[k], free[k])
         values = np.concatenate((values, v))
         iterations = np.concatenate((iterations, it))
         converged = np.concatenate((converged, conv))
-        if traces is not None:
-            traces.extend(round_traces)
         if np.count_nonzero(values - best_value <= max(_BASIN_RTOL * abs(best_value), cfg.conv_tol)) >= _HITS:
             break
     return OptResult(
@@ -274,23 +249,21 @@ def _multistart(
         iterations_used=iterations,
         converged=converged,
         best_index=best_index,
-        traces=tuple(tuple(t) for t in traces) if traces is not None else None,
     )
 
 
 def min_generic_quadratic(
     operator: BipartiteOperator | np.ndarray,
     cfg: SeeSawConfig = SeeSawConfig(),
-    dims: tuple[int, int] | None = None,
 ) -> OptResult:
     """Heuristic infimum of <ab| H |ab> over unit product vectors (a, b).
 
     The contraction of the Hermitian H with either fixed factor is an
     effective Hermitian operator for the other, so every half-step is an
-    exact eigenvector update. ``dims`` gives the tensor split of a plain
-    matrix (inferred as d x d when omitted).
+    exact eigenvector update. A :class:`BipartiteOperator` brings its own
+    tensor split; a plain d^2 x d^2 matrix is split as d x d.
     """
-    h, dims = _objective(operator, dims)
+    h, dims = _objective(operator)
     steps = (_half_step(h, dims, 1), _half_step(h, dims, 0))
     return _multistart(cfg, dims, 1, steps, lambda a_best, b_best: ProductVector(a_best[:, 0], b_best[:, 0]))
 
@@ -308,11 +281,10 @@ def min_schmidt2_expectation(
     Hermitian operator in the other factor, so the same monotone alternation
     applies.
     The returned state has at most two nonzero Schmidt coefficients by
-    construction. An operator on another bipartite space raises
-    :class:`NotApplicableError`.
+    construction. An operator on another bipartite space, or a plain matrix
+    whose d x d split is not 3x3, raises :class:`NotApplicableError`.
     """
-    # a plain matrix is read as 3x3, and one of another size then fails the dims check
-    h, dims = _objective(operator, None if isinstance(operator, BipartiteOperator) else (3, 3))
+    h, dims = _objective(operator)
     if dims != (3, 3):
         raise NotApplicableError("Schmidt-rank-2 minimization is implemented for 3x3 systems")
     steps = (_half_step(h, dims, 0), _half_step(h, dims, 1))

@@ -26,6 +26,7 @@ from pptedge.bipartite import BipartiteOperator, partial_transpose, realign, sch
 from pptedge.criteria import certify_edge
 from pptedge.optimize import SeeSawConfig, min_generic_quadratic
 from pptedge.witness import evaluate, kernel_witness, realignment_witness, schmidt2_evidence, shift_witness
+from test_optimize import half_step_values
 
 DEFAULT = SeeSawConfig()
 
@@ -181,20 +182,15 @@ def test_criterion_09_schmidt_rank2_evidence(entries, kernel_witnesses, realignm
 def test_criterion_10_optimizer_properties(entries):
     ok = True
     # monotone half-steps on the edge objective and on random Hermitian operators
-    trace_cfg = SeeSawConfig(restarts=40, max_iter=300, seed=3, record_trace=True)
+    trace_cfg = SeeSawConfig(restarts=40, max_iter=300, seed=3)
     r55 = entries[0]
     p_basis = linalg.span_projector(r55.range_basis)
     q_basis = linalg.span_projector(r55.pt_range_basis)
     eye = np.eye(9)
     edge_op = eye - p_basis + partial_transpose(BipartiteOperator(eye - q_basis, 3, 3)).matrix
-    res = min_generic_quadratic(edge_op, trace_cfg)
-    for trace in res.traces:
-        ok &= float(np.diff(np.array(trace)).max(initial=-np.inf)) <= 1e-14
     rng = np.random.default_rng(77)
-    for _ in range(3):
-        res = min_generic_quadratic(helpers.random_hermitian(rng, 9), trace_cfg)
-        for trace in res.traces:
-            ok &= float(np.diff(np.array(trace)).max(initial=-np.inf)) <= 1e-14
+    for h in [edge_op] + [helpers.random_hermitian(rng, 9) for _ in range(3)]:
+        ok &= float(np.diff(half_step_values(h, 1, trace_cfg), axis=0).max()) <= 1e-14
 
     # byte-identical determinism
     h = helpers.random_hermitian(np.random.default_rng(78), 9)
@@ -205,7 +201,7 @@ def test_criterion_10_optimizer_properties(entries):
     worst = 0.0
     for _ in range(6):
         h2 = helpers.random_hermitian(oracle_rng, 4)
-        found = min_generic_quadratic(h2, SeeSawConfig(restarts=50, seed=1), dims=(2, 2)).best_value
+        found = min_generic_quadratic(h2, SeeSawConfig(restarts=50, seed=1)).best_value
         worst = max(worst, abs(found - helpers.brute_force_product_min_2x2(h2)))
     ok &= worst < 1e-4
     _report(10, "monotone half-steps, byte-identical determinism, brute-force agreement", ok, f"oracle gap {worst:.1e}")

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import PT_5_5_NUM, PT_6_6_NUM
 from pptedge import catalog, linalg
-from pptedge.bipartite import BipartiteOperator, partial_transpose
+from pptedge.bipartite import BipartiteOperator, ProductVector, partial_transpose
 from pptedge.criteria import is_ppt
 
 
@@ -20,7 +20,7 @@ def test_numerator_diagonals_sum_to_denominator(rho55, rho66):
 
 def test_state_equals_numerator_over_13(rho55, rho66):
     for entry in (rho55, rho66):
-        assert np.array_equal(entry.state.matrix, entry.exact.to_complex() / 13.0)
+        assert np.array_equal(entry.state.matrix, entry.exact / 13.0)
 
 
 def test_specific_entries(rho55, rho66):
@@ -67,6 +67,18 @@ def test_range_bases_span_the_ranges(rho55, rho66):
         q_basis = linalg.span_projector(entry.pt_range_basis)
         q_eig = linalg.Spectrum.of(partial_transpose(entry.state).matrix).range_projector()
         assert np.abs(q_basis - q_eig).max() < 1e-10
+
+
+@pytest.mark.parametrize("name,rank", [("rho_5_5", 5), ("rho_6_6", 6)])
+def test_range_bases_span_the_ranges_exactly(name, rank):
+    # a real symmetric N has its rows spanning its range, so an integer B spans that range
+    # exactly when rank N == rank B == rank [N; B]
+    entry = catalog.get(name)
+    for num, basis in ((entry.exact, entry.range_basis), (entry.exact_pt, entry.pt_range_basis)):
+        assert np.array_equal(num, num.T)
+        b = np.real(np.array(basis)).astype(np.int64)
+        assert np.array_equal(b, np.array(basis))
+        assert linalg.exact_rank(num) == linalg.exact_rank(b) == linalg.exact_rank(np.vstack([num, b])) == rank
 
 
 def test_linear_constraint_pattern_vectors(rho66):
@@ -198,11 +210,13 @@ def test_get_is_cached_and_every_entry_array_is_read_only():
 
 def test_separable_product_vectors_compose_the_sample():
     entry = catalog.get("separable_sample")
+    rng = np.random.default_rng(catalog._SEPARABLE_SEED)
     mat = np.zeros((9, 9), dtype=complex)
-    for pv in catalog.separable_product_vectors():
-        v = pv.tensor()
+    for _ in range(20):
+        x = rng.standard_normal((4, 3))
+        v = ProductVector(x[0] + 1j * x[1], x[2] + 1j * x[3]).tensor()
         mat += np.outer(v, v.conj())
-    mat /= len(catalog.separable_product_vectors())
+    mat /= 20
     assert np.abs((mat + mat.conj().T) / 2 - entry.state.matrix).max() < 1e-14
 
 

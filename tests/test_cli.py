@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import helpers
 from conftest import EDGE_MIN_5_5, TRACE_NORM_6_6
-from pptedge import catalog, criteria, optimize
+from pptedge import catalog, cli, criteria, optimize
 from pptedge.bipartite import BipartiteOperator
 from pptedge.cli import main
 from pptedge.serialize import write_matrix_file
@@ -22,6 +23,16 @@ def _run_json(capsys, argv):
     out = capsys.readouterr().out
     assert rc == 0, out
     return json.loads(out)
+
+
+def test_every_seesaw_config_field_is_set_by_the_cli():
+    # a field that no flag reaches could be set only by tests
+    args = cli._build_parser().parse_args(
+        ["certify-edge", "rho_5_5", "--seed", "7", "--restarts", "3", "--max-iter", "9", "--conv-tol", "1e-10"]
+    )
+    cfg, default = cli._config(args), optimize.SeeSawConfig()
+    for field in dataclasses.fields(optimize.SeeSawConfig):
+        assert getattr(cfg, field.name) != getattr(default, field.name), field.name
 
 
 def test_catalog_listing(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from pptedge.bipartite import BipartiteOperator, partial_transpose, schmidt_coefficients
+from pptedge.exceptions import NotApplicableError
 from pptedge.optimize import OptResult, SeeSawConfig, min_generic_quadratic, min_schmidt2_expectation
 
 QUICK = SeeSawConfig(restarts=30, max_iter=300, seed=5)
@@ -74,25 +75,54 @@ def test_argmin_reevaluation_with_conjugate_term():
     assert abs(direct - res.best_value) < 1e-10
 
 
+def half_step_values(h: np.ndarray, rank: int, cfg: SeeSawConfig) -> np.ndarray:
+    """Each restart's reported value after every half-step, (2 * sweeps, restarts), from the see-saw's own pieces.
+
+    Alternates the two half-steps of `min_generic_quadratic` (rank 1) or
+    `min_schmidt2_expectation` (rank 2) on 3x3, as `_see_saw` does, from the
+    starts of restarts 0 .. restarts - 1 in one batch (a restart's arithmetic
+    does not depend on its batch), until each restart's sweep lowers its value
+    by less than `conv_tol` or `max_iter` sweeps pass. A restart that has
+    stopped repeats its last value. Every reported value is checked against
+    <psi|H|psi> / <psi|psi> recomputed from the two factors that half-step
+    returns, psi = sum_r A[:, r] (x) B[:, r].
+    """
+    from pptedge.optimize import _half_step, _starts
+
+    free_first = 1 if rank == 1 else 0  # the rank-1 see-saw starts from A, the rank-2 one from B
+    steps = [(free, _half_step(h, (3, 3), free)) for free in (free_first, 1 - free_first)]
+    fixed = _starts(cfg.seed, range(cfg.restarts), 3, rank)
+    values, active = [], np.ones(cfg.restarts, dtype=bool)
+    for _ in range(cfg.max_iter):
+        for free, step in steps:
+            w, kept, new = step(fixed)
+            a, b = (kept, new) if free == 1 else (new, kept)
+            psi = np.einsum("nir,njr->nij", a, b).reshape(cfg.restarts, 9)
+            quotient = np.einsum("ni,ij,nj->n", psi.conj(), h, psi).real / np.einsum("ni,ni->n", psi.conj(), psi).real
+            assert np.abs(quotient - w).max() < 1e-12
+            values.append(np.where(active, w, values[-1]) if values else w)
+            fixed = new
+        if len(values) > 2:
+            active &= np.abs(values[-3] - values[-1]) >= cfg.conv_tol
+        if not active.any():
+            break
+    return np.array(values)
+
+
 def test_monotone_half_steps_product():
     rng = np.random.default_rng(3)
-    cfg = SeeSawConfig(restarts=20, max_iter=200, seed=9, record_trace=True)
+    cfg = SeeSawConfig(restarts=20, max_iter=200, seed=9)
     h1 = helpers.random_hermitian(rng, 9)
     h2 = helpers.random_hermitian(rng, 9)
-    res = min_generic_quadratic(_plus_conjugate_term(h1, h2), cfg)
-    assert res.traces is not None
-    for trace in res.traces:
-        diffs = np.diff(np.array(trace))
-        assert diffs.max(initial=-np.inf) <= 1e-14
+    values = half_step_values(_plus_conjugate_term(h1, h2), 1, cfg)
+    assert np.diff(values, axis=0).max() <= 1e-14
 
 
 def test_monotone_half_steps_schmidt2():
     rng = np.random.default_rng(4)
-    cfg = SeeSawConfig(restarts=20, max_iter=200, seed=9, record_trace=True)
-    res = min_schmidt2_expectation(helpers.random_hermitian(rng, 9), cfg)
-    for trace in res.traces:
-        diffs = np.diff(np.array(trace))
-        assert diffs.max(initial=-np.inf) <= 1e-14
+    cfg = SeeSawConfig(restarts=20, max_iter=200, seed=9)
+    values = half_step_values(helpers.random_hermitian(rng, 9), 2, cfg)
+    assert np.diff(values, axis=0).max() <= 1e-14
 
 
 def test_deterministic_results_byte_identical():
@@ -111,7 +141,7 @@ def test_brute_force_oracle_agreement_2x2():
     cfg = SeeSawConfig(restarts=50, max_iter=300, seed=1)
     for trial in range(6):
         h = helpers.random_hermitian(rng, 4)
-        res = min_generic_quadratic(h, cfg, dims=(2, 2))
+        res = min_generic_quadratic(h, cfg)
         oracle = helpers.brute_force_product_min_2x2(h)
         assert abs(res.best_value - oracle) < 1e-4, f"trial {trial}"
 
@@ -160,6 +190,21 @@ def test_config_validation():
         SeeSawConfig(conv_tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("seed", -1), ("seed", 1.5), ("seed", "7"), ("restarts", 2.5), ("max_iter", 2.5)],
+)
+def test_config_rejects_bad_seed_and_counts(field, value):
+    # each of these failed only later, at the first draw or inside range()
+    with pytest.raises(ValueError, match=field):
+        SeeSawConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SeeSawConfig(restarts=np.int64(3), max_iter=np.int32(5), seed=np.uint8(0))
+    assert len(min_generic_quadratic(np.eye(9), cfg).restart_values) == 3
+
+
 def test_rejects_non_hermitian():
     bad = np.zeros((9, 9))
     bad[0, 1] = 1.0
@@ -175,13 +220,15 @@ def test_dims_inference_and_validation():
     assert abs(res.best_value - 1.0) < 1e-12
     assert res.argmin.a.size == 2 and res.argmin.b.size == 3
     with pytest.raises(ValueError):
-        min_generic_quadratic(np.eye(6), QUICK)  # 6 is not a perfect square, dims required
-    with pytest.raises(ValueError):
-        min_generic_quadratic(np.eye(9), QUICK, dims=(2, 3))
+        min_generic_quadratic(np.eye(6), QUICK)  # 6 is not a perfect square, so it needs a BipartiteOperator
     with pytest.raises(ValueError):
         min_generic_quadratic(np.eye(9)[:3], QUICK)
     with pytest.raises(ValueError):
         min_schmidt2_expectation(np.eye(6), QUICK)
+    # a plain 4x4 or 16x16 matrix splits as 2x2 or 4x4, which the Schmidt-rank-2 search does not cover
+    for d in (4, 16):
+        with pytest.raises(NotApplicableError):
+            min_schmidt2_expectation(np.eye(d), QUICK)
 
 
 def _argmin_bits(argmin) -> tuple[bytes, ...]:
@@ -330,10 +377,9 @@ def _qr_inputs(kind: str) -> np.ndarray:
 
 @pytest.mark.parametrize("kind", ["random", "rank_one", "zero_first_column", "zero_second_column", "all_zero"])
 def test_orthonormal_columns_span_the_input(kind):
-    from pptedge.optimize import _orthonormal_columns
-
+    # the rank-2 half-step relies on this LAPACK property
     f = _qr_inputs(kind)
-    q = _orthonormal_columns(f)
+    q = np.linalg.qr(f)[0]
     qh = q.conj().transpose(0, 2, 1)
     assert q.shape == f.shape and np.isfinite(q).all()
     assert np.abs(qh @ q - np.eye(2)).max() < 1e-14
@@ -342,15 +388,13 @@ def test_orthonormal_columns_span_the_input(kind):
 
 def test_orthonormal_columns_factor_each_matrix_on_its_own():
     # every kind of input, interleaved in one stack: each row must be what it is alone
-    from pptedge.optimize import _orthonormal_columns
-
     kinds = ["random", "rank_one", "zero_first_column", "zero_second_column", "all_zero"]
     f = np.empty((50, 3, 2), dtype=complex)
     for i, kind in enumerate(kinds):
         f[i::5] = _qr_inputs(kind)[i::5]
-    q = _orthonormal_columns(f)
+    q = np.linalg.qr(f)[0]
     for row in range(50):
-        assert q[row].tobytes() == _orthonormal_columns(f[row : row + 1])[0].tobytes(), row
+        assert q[row].tobytes() == np.linalg.qr(f[row : row + 1])[0][0].tobytes(), row
 
 
 def test_schmidt2_product_ground_state_with_rank_deficient_factors():
@@ -358,10 +402,9 @@ def test_schmidt2_product_ground_state_with_rank_deficient_factors():
     ket = np.zeros(9)
     ket[0] = 1.0
     h = np.eye(9) - 2.0 * np.outer(ket, ket)
-    res = min_schmidt2_expectation(h, SeeSawConfig(seed=42, record_trace=True))
+    res = min_schmidt2_expectation(h, SeeSawConfig(seed=42))
     assert abs(res.best_value + 1.0) < 1e-12
-    for trace in res.traces:
-        assert np.diff(np.array(trace)).max(initial=-np.inf) <= 1e-14
+    assert np.diff(half_step_values(h, 2, SeeSawConfig(restarts=25, seed=42)), axis=0).max() <= 1e-14
     vec = res.argmin.vector
     assert np.isfinite(vec).all()
     assert schmidt_coefficients(vec, 3, 3)[2] < 1e-8
