@@ -103,22 +103,22 @@ _SEPARABLE_TERMS = 20
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named state together with its exact data and expected invariants.
+    """A named state together with its exact data.
 
     ``exact`` holds the integer numerator matrix, a read-only ``int64``
     array, and ``denominator`` its common denominator, so
     ``state.matrix == exact / denominator`` entrywise whenever ``exact`` is
     present. Range bases are exact integer vectors spanning the range of the
     state and of its partial transpose; reference entries without a useful
-    exact description carry ``None`` there.
+    exact description carry ``None`` there. They are data for exact checks
+    only: ranks and range projectors come from the state's spectrum, as for
+    any other state.
     """
 
     name: str
     state: BipartiteOperator
     exact: np.ndarray | None
     denominator: int
-    expected_rank: int
-    expected_pt_rank: int
     range_basis: tuple[np.ndarray, ...] | None
     pt_range_basis: tuple[np.ndarray, ...] | None
 
@@ -152,7 +152,7 @@ def _basis_arrays(rows: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _integer_entry(name: str, numerator, rank: int, pt_rank: int, basis, pt_basis) -> CatalogEntry:
+def _integer_entry(name: str, numerator, basis, pt_basis) -> CatalogEntry:
     exact = _numerator(numerator)
     state = BipartiteOperator(exact / 13.0, 3, 3)
     return CatalogEntry(
@@ -160,8 +160,6 @@ def _integer_entry(name: str, numerator, rank: int, pt_rank: int, basis, pt_basi
         state=state,
         exact=exact,
         denominator=13,
-        expected_rank=rank,
-        expected_pt_rank=pt_rank,
         range_basis=_basis_arrays(basis),
         pt_range_basis=_basis_arrays(pt_basis),
     )
@@ -169,12 +167,12 @@ def _integer_entry(name: str, numerator, rank: int, pt_rank: int, basis, pt_basi
 
 def rho_5_5() -> CatalogEntry:
     """The rank-(5,5) PPT entangled edge state, exact entries over 13."""
-    return _integer_entry("rho_5_5", _RHO_5_5_NUM, 5, 5, _RANGE_BASIS_5_5, _PT_RANGE_BASIS_5_5)
+    return _integer_entry("rho_5_5", _RHO_5_5_NUM, _RANGE_BASIS_5_5, _PT_RANGE_BASIS_5_5)
 
 
 def rho_6_6() -> CatalogEntry:
     """The rank-(6,6) PPT entangled edge state, exact entries over 13."""
-    return _integer_entry("rho_6_6", _RHO_6_6_NUM, 6, 6, _RANGE_BASIS_6_6, _PT_RANGE_BASIS_6_6)
+    return _integer_entry("rho_6_6", _RHO_6_6_NUM, _RANGE_BASIS_6_6, _PT_RANGE_BASIS_6_6)
 
 
 def _max_mixed() -> CatalogEntry:
@@ -183,8 +181,6 @@ def _max_mixed() -> CatalogEntry:
         state=BipartiteOperator(np.eye(9, dtype=complex) / 9.0, 3, 3),
         exact=_numerator(np.eye(9)),
         denominator=9,
-        expected_rank=9,
-        expected_pt_rank=9,
         range_basis=None,
         pt_range_basis=None,
     )
@@ -202,8 +198,6 @@ def _max_entangled() -> CatalogEntry:
         state=BipartiteOperator(mat, 3, 3),
         exact=_numerator(num),
         denominator=3,
-        expected_rank=1,
-        expected_pt_rank=9,
         range_basis=None,
         pt_range_basis=None,
     )
@@ -225,8 +219,6 @@ def _separable_sample() -> CatalogEntry:
         state=BipartiteOperator(mat, 3, 3),
         exact=None,
         denominator=1,
-        expected_rank=9,
-        expected_pt_rank=9,
         range_basis=None,
         pt_range_basis=None,
     )

@@ -137,7 +137,10 @@ def _tolerances(args: argparse.Namespace) -> dict:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    lines = [f"{e.name:<18} ({e.expected_rank},{e.expected_pt_rank})" for e in catalog.entries()]
+    lines = [
+        f"{e.name:<18} ({e.state.spectrum.rank(args.tol_eig)},{e.state.pt.spectrum.rank(args.tol_eig)})"
+        for e in catalog.entries()
+    ]
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -17,10 +17,12 @@ Each decision is made once, on the cached spectra ``op.spectrum`` and
 ``op.pt.spectrum``. Positivity of the partial transpose is decided only by
 :func:`is_ppt` at its ``tol``; ranks, kernels and range projectors only by
 the ``rel_tol`` rule of :class:`~pptedge.linalg.Spectrum`, which applies no
-positivity check of its own. :func:`certify_edge` makes both decisions, and
-its :class:`EdgeCertificate` carries the projectors to every later consumer,
-such as :func:`~pptedge.witness.kernel_witness`. The realignment decision
-reads the cached ``op.realigned_trace_norm``, and so does its witness.
+positivity check of its own, for catalog entries as for any other state.
+:func:`certify_edge` makes both decisions, and its :class:`EdgeCertificate`
+carries the verdict and the edge operator it minimized to every later
+consumer, such as :func:`~pptedge.witness.kernel_witness`. The realignment
+decision reads the cached ``op.realigned_trace_norm``, and so does its
+witness.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "certify_edge",
     "edge_operator",
     "is_ppt",
-    "kernel_dims",
     "realignment_criterion",
 ]
 
@@ -76,11 +77,10 @@ class EdgeCertificate:
     ``minimum`` is the smallest edge objective found over the restarts that
     ran (see the stop rule in :mod:`~pptedge.optimize`); it equals
     ``residual_range**2 + residual_pt_range**2`` at ``argmin``.
-    ``projectors`` holds the range projectors of the state and of its
-    partial transpose that define the objective. ``opt`` is the see-saw run
-    the minimum comes from; it is ``None`` when both ranges are the whole
-    space, where the verdict is "not edge" exactly, the minimum is 0.0 at
-    the first basis product vector, and no restart ran. The
+    ``operator`` is the :func:`edge_operator` the see-saw minimized, and
+    ``opt`` is that see-saw run. Both are ``None`` when both ranges are the
+    whole space, where the verdict is "not edge" exactly, the minimum is 0.0
+    at the first basis product vector, and no restart ran. The
     verdict carries an explicit inconclusive band between the zero threshold
     and the positive threshold so a near-zero heuristic minimum is never
     promoted to an edge claim.
@@ -93,7 +93,7 @@ class EdgeCertificate:
     residual_range: float
     residual_pt_range: float
     opt: OptResult | None
-    projectors: tuple[np.ndarray, np.ndarray]
+    operator: BipartiteOperator | None
 
     def to_dict(self) -> dict:
         """Report block; the see-saw statistics, over the restarts that ran, appear only when a see-saw ran."""
@@ -119,20 +119,13 @@ class EdgeCertificate:
 def range_projectors(
     state: BipartiteOperator | CatalogEntry, rel_tol: float = linalg.DEFAULT_RANK_RTOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors onto range(rho) and range(rho^T_B).
+    """Projectors onto range(rho) and range(rho^T_B), from the cached spectra at ``rel_tol``.
 
-    Catalog entries with stored exact range bases use those (no spectral
-    thresholds involved); other operators read their cached spectra.
+    Catalog entries take the same path as any other state, so their
+    projectors always agree with the ranks reported at ``rel_tol``.
     """
-    if isinstance(state, CatalogEntry) and state.range_basis is not None:
-        return linalg.span_projector(state.range_basis), linalg.span_projector(state.pt_range_basis)
     op, _ = operator_and_name(state)
     return op.spectrum.range_projector(rel_tol), op.pt.spectrum.range_projector(rel_tol)
-
-
-def kernel_dims(p_range: np.ndarray, p_pt_range: np.ndarray) -> tuple[int, int]:
-    """Dimensions of the kernels of rho and rho^T_B from their range projectors (dim - trace)."""
-    return tuple(p.shape[0] - int(round(np.trace(p).real)) for p in (p_range, p_pt_range))
 
 
 def is_ppt(state: BipartiteOperator | CatalogEntry, tol: float = 1e-12) -> CriterionReport:
@@ -173,18 +166,17 @@ def certify_edge(
 
     Only states that pass :func:`is_ppt` at ``ppt_tol`` are eligible (an
     edge state is PPT by definition); any other input raises
-    :class:`NotApplicableError`. When both kernels are trivial the verdict
-    is "not edge" exactly and no see-saw runs. Otherwise the verdict is
-    "edge (heuristic)" when every restart that ran stays above the positive
-    threshold, "not edge" when some restart reaches (numerical) zero, and
-    "inconclusive" in between.
+    :class:`NotApplicableError`. When both ranks at ``rel_tol`` are full
+    the verdict is "not edge" exactly, and no projector is built and no
+    see-saw runs. Otherwise the verdict is "edge (heuristic)" when every
+    restart that ran stays above the positive threshold, "not edge" when
+    some restart reaches (numerical) zero, and "inconclusive" in between.
     """
     op, name = operator_and_name(state)
     ppt = is_ppt(state, ppt_tol)
     if ppt.verdict != "pass":
         raise NotApplicableError(f"state is not PPT: min partial-transpose eigenvalue {ppt.evidence:.3e}")
-    p_range, p_pt = range_projectors(state, rel_tol)
-    if kernel_dims(p_range, p_pt) == (0, 0):
+    if op.spectrum.rank(rel_tol) == op.pt.spectrum.rank(rel_tol) == op.dim:
         # every product vector and its partner lie in the full space, e0 (x) e0 among them
         return EdgeCertificate(
             state=name,
@@ -194,9 +186,11 @@ def certify_edge(
             residual_range=0.0,
             residual_pt_range=0.0,
             opt=None,
-            projectors=(p_range, p_pt),
+            operator=None,
         )
-    result = min_generic_quadratic(edge_operator(p_range, p_pt, (op.dim_a, op.dim_b)), cfg)
+    p_range, p_pt = range_projectors(op, rel_tol)
+    operator = edge_operator(p_range, p_pt, (op.dim_a, op.dim_b))
+    result = min_generic_quadratic(operator, cfg)
     pv = result.argmin
     r1 = linalg.residual_norm(pv.tensor(), p_range)
     r2 = linalg.residual_norm(pv.conjugate_partner(), p_pt)
@@ -215,5 +209,5 @@ def certify_edge(
         residual_range=r1,
         residual_pt_range=r2,
         opt=result,
-        projectors=(p_range, p_pt),
+        operator=operator,
     )

@@ -160,16 +160,23 @@ def residual_norm(vec, projector: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _rational(x) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"exact rank takes int or Fraction entries, got {type(x).__name__}")
+    return Fraction(x)
+
+
 def exact_rank(m) -> int:
     """Rank over the rationals via fraction-free Bareiss elimination.
 
-    Accepts any nested sequence or array of ints/Fractions; rows of unequal
+    Accepts any nested sequence or integer array of ints/Fractions; any
+    other entry, such as a float or a complex number, and rows of unequal
     length raise ``ValueError``. Each row is scaled to integers first;
     elimination then stays in Python integers, with every interior division
     exact by the Bareiss identity.
     """
     # numpy integers convert to Fraction several times slower than Python ints
-    rows = [[Fraction(x) for x in row] for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
+    rows = [[_rational(x) for x in row] for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
     if not rows:
         return 0
     if any(len(row) != len(rows[0]) for row in rows):

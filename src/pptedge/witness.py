@@ -8,8 +8,10 @@ Tr(W1 delta) = -epsilon. P + Q^T_B is :func:`~pptedge.criteria.edge_operator`,
 whose expectation <ab|P + Q^T_B|ab> is the edge objective at (a, b), so
 epsilon is N times the edge certificate's minimum by construction, exactly as
 heuristic as that minimum, and no second see-saw runs. The witness is a pure
-function of that :class:`~pptedge.criteria.EdgeCertificate`: the PPT gate,
-the rank decisions and the projectors are the certificate's, made once.
+function of that :class:`~pptedge.criteria.EdgeCertificate`: it is built
+only on an edge verdict, where epsilon > 0, and from the edge operator the
+certificate minimized, so the PPT gate, the rank decisions and the operator
+are the certificate's, made once.
 
 The realignment witness is built exactly when the realignment criterion
 says "violated": with R(rho) = U D V^dagger, the Hermitian part of
@@ -31,7 +33,7 @@ import numpy as np
 
 from .bipartite import BipartiteOperator, realign
 from .catalog import CatalogEntry, operator_and_name
-from .criteria import EdgeCertificate, edge_operator, kernel_dims, realignment_criterion
+from .criteria import EdgeCertificate, realignment_criterion
 from .exceptions import NotApplicableError
 from .optimize import OptResult, SeeSawConfig, min_schmidt2_expectation
 
@@ -101,27 +103,26 @@ def evaluate(w: Witness | BipartiteOperator | np.ndarray, state: BipartiteOperat
 
 
 def kernel_witness(edge: EdgeCertificate) -> Witness:
-    """Kernel-projector witness W1 for the rank-deficient PPT state certified by ``edge``.
+    """Kernel-projector witness W1 for the PPT state certified as edge by ``edge``.
 
-    Builds W = N (P + Q^T_B) from the kernel projectors P of the state and
-    Q of its partial transpose, taken from ``edge.projectors``, and returns
+    Takes W = N (P + Q^T_B), with P and Q the kernel projectors of the state
+    and of its partial transpose, from ``edge.operator``, and returns
     W1 = W - epsilon * identity, with epsilon = N * edge.minimum the product
-    infimum of W. Fails with :class:`NotApplicableError` when either kernel
-    is trivial; a non-PPT state has no certificate.
+    infimum of W. Fails with :class:`NotApplicableError` unless the verdict
+    is "edge (heuristic)": on any other verdict epsilon is not positive, or
+    not known to be, and W1 would not be a witness. A non-PPT state has no
+    certificate.
     """
-    p_range, p_pt_range = edge.projectors
-    kernel_dim, pt_kernel_dim = kernel_dims(p_range, p_pt_range)
-    if 0 in (kernel_dim, pt_kernel_dim):
-        raise NotApplicableError("kernel witness requires rank-deficient state and partial transpose")
-    # the argmin factors carry the tensor split of the certified state
-    dims = (edge.argmin.dim_a, edge.argmin.dim_b)
-    # Tr(P + Q^T_B) is the sum of the two kernel dimensions, an exact integer
-    norm = 1.0 / (kernel_dim + pt_kernel_dim)
+    if edge.verdict != "edge (heuristic)":
+        raise NotApplicableError(f"kernel witness requires an edge verdict, got {edge.verdict!r}")
+    op = edge.operator
+    # Tr(P + Q^T_B) is the sum of the two kernel dimensions, an integer up to roundoff
+    norm = 1.0 / round(np.trace(op.matrix).real)
     # exactly Hermitian: both projectors are, and so is a partial transpose of a Hermitian matrix
-    w_delta = norm * edge_operator(p_range, p_pt_range, dims).matrix
+    w_delta = norm * op.matrix
     eps = norm * edge.minimum
     return Witness(
-        operator=BipartiteOperator(w_delta - eps * np.eye(w_delta.shape[0], dtype=complex), *dims),
+        operator=BipartiteOperator(w_delta - eps * np.eye(op.dim, dtype=complex), op.dim_a, op.dim_b),
         method="kernel",
         source=edge.state,
         epsilon=eps,

@@ -46,11 +46,10 @@ def test_exact_pt_matches_printed_tables(rho55, rho66):
 
 
 def test_expected_ranks(rho55, rho66):
-    assert (rho55.expected_rank, rho55.expected_pt_rank) == (5, 5)
-    assert (rho66.expected_rank, rho66.expected_pt_rank) == (6, 6)
-    for entry in (rho55, rho66):
-        assert linalg.exact_rank(entry.exact) == entry.expected_rank
-        assert linalg.exact_rank(entry.exact_pt) == entry.expected_pt_rank
+    # the paper's claim (m, n), exactly and by the spectral rule at its default tolerance
+    for entry, rank in ((rho55, 5), (rho66, 6)):
+        assert (linalg.exact_rank(entry.exact), linalg.exact_rank(entry.exact_pt)) == (rank, rank)
+        assert (entry.state.spectrum.rank(), entry.state.pt.spectrum.rank()) == (rank, rank)
 
 
 def test_states_and_partial_transposes_are_psd(rho55, rho66):

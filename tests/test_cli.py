@@ -35,12 +35,26 @@ def test_every_seesaw_config_field_is_set_by_the_cli():
         assert getattr(cfg, field.name) != getattr(default, field.name), field.name
 
 
+_CATALOG_LISTING = """\
+rho_5_5            (5,5)
+rho_6_6            (6,6)
+max_mixed          (9,9)
+max_entangled      (1,9)
+separable_sample   (9,9)
+"""
+
+
 def test_catalog_listing(capsys):
     assert main(["catalog"]) == 0
+    assert capsys.readouterr().out == _CATALOG_LISTING
+
+
+def test_catalog_listing_reads_ranks_at_tol_eig(capsys):
+    # the listed ranks come from each state's spectrum, by the same rule as analyze's
+    assert main(["catalog", "--tol-eig", "0.3"]) == 0
     out = capsys.readouterr().out
-    assert "rho_5_5            (5,5)" in out
-    assert "rho_6_6            (6,6)" in out
-    assert "max_mixed          (9,9)" in out
+    assert "rho_5_5            (3,3)\n" in out
+    assert "rho_6_6            (4,4)\n" in out
 
 
 def test_analyze_rho_5_5(capsys):
@@ -351,20 +365,24 @@ def test_tol_pos_is_the_only_positivity_gate(tmp_path, capsys, command):
 
 def test_witness_kernel_with_one_trivial_kernel_exit_4(tmp_path, monkeypatch, capsys):
     # under --tol-pos 1e-5 the state is PPT with a full-rank partial transpose: the
-    # certificate's see-saw runs, then the kernel witness does not apply
+    # certificate's see-saw runs and finds "not edge", so the kernel witness does not apply
     path = _barely_npt_file(tmp_path)
     see_saws = _count_calls(monkeypatch, "min_generic_quadratic")
     assert main(["witness", path, "--method", "kernel", "--tol-pos", "1e-5", *FAST]) == 4
-    assert "rank-deficient" in capsys.readouterr().err
+    assert "requires an edge verdict, got 'not edge'" in capsys.readouterr().err
     assert len(see_saws) == 1
 
 
-def test_analyze_2x2_skips_schmidt2_search(tmp_path, capsys):
+def test_analyze_2x2_skips_schmidt2_search(tmp_path, monkeypatch, capsys):
+    # a 2x2 PPT state is separable, so the kernel witness is skipped on its verdict before any
+    # Schmidt-rank-2 search; test_schmidt2_on_non_3x3_operator_exit_4 covers the non-3x3 refusal
     a, b = np.kron([1.0, 0.0], [1.0, 0.0]), np.kron([0.0, 1.0], [0.6, 0.8])
     path = _state_file(tmp_path, "sep2x2", (np.outer(a, a) + np.outer(b, b)) / 2, (2, 2))
+    searches = _count_calls(monkeypatch, "min_schmidt2_expectation")
     report = _run_json(capsys, ["analyze", path, *FAST])
     assert report["edge"]["verdict"] == "not edge"
-    assert "3x3" in report["witnesses"]["kernel"]["skipped"]
+    assert report["witnesses"]["kernel"]["skipped"] == "kernel witness requires an edge verdict, got 'not edge'"
+    assert searches == []
 
 
 _SEE_SAW_STATS = {"restarts_run", "restart_min", "restart_median", "restart_max", "iterations_max", "all_converged"}
@@ -482,15 +500,35 @@ def test_analyze_catalog_state_decomposes_once_per_process(monkeypatch, capsys):
     assert solves == []
 
 
+@pytest.mark.parametrize(
+    "name,tol_eig,rank", [("rho_5_5", "1e-9", 5), ("rho_5_5", "0.3", 3), ("rho_6_6", "1e-9", 6), ("rho_6_6", "0.3", 4)]
+)
+def test_kernel_witness_normalization_agrees_with_reported_ranks(capsys, name, tol_eig, rank):
+    # the reported ranks and the operator behind the witness apply one rank rule to one spectrum,
+    # for catalog states too: at --tol-eig 0.3 only the largest eigenvalues count
+    report = _run_json(capsys, ["analyze", name, "--tol-eig", tol_eig, *FAST])
+    ranks = report["ranks"]
+    assert (ranks["rank"], ranks["pt_rank"]) == (rank, rank)
+    assert report["edge"]["verdict"] == "edge (heuristic)"
+    kernel = report["witnesses"]["kernel"]
+    assert kernel["normalization"] == 1.0 / ((9 - ranks["rank"]) + (9 - ranks["pt_rank"]))
+
+
 @pytest.mark.parametrize("weight,tol_eig,rank", [(0.0, "1e-9", 4), (1e-7, "1e-9", 5), (1e-7, "1e-5", 4)])
-def test_kernel_witness_normalization_agrees_with_reported_ranks(tmp_path, capsys, weight, tol_eig, rank):
-    # the reported ranks and the projectors behind the witness apply one rank rule to one spectrum;
-    # a 1e-7 admixture of |00><00| to a rank-4 separable state counts only at the default --tol-eig
+def test_analyze_separable_reports_ranks_at_tol_eig_and_skips_kernel_witness(
+    tmp_path, monkeypatch, capsys, weight, tol_eig, rank
+):
+    # a 1e-7 admixture of |00><00| to a rank-4 separable state counts only at the default --tol-eig;
+    # either way the "not edge" minimum is about zero, so W1 would detect nothing: none is built
+    # and no Schmidt-rank-2 search runs
     e00 = np.eye(9)[0]
     rho = (1 - weight) * helpers.separable_mixture(4) + weight * np.outer(e00, e00)
     path = _state_file(tmp_path, "sep4", rho)
+    searches = _count_calls(monkeypatch, "min_schmidt2_expectation")
     report = _run_json(capsys, ["analyze", path, "--tol-eig", tol_eig, *FAST])
     ranks = report["ranks"]
     assert (ranks["rank"], ranks["pt_rank"]) == (rank, rank)
-    kernel = report["witnesses"]["kernel"]
-    assert kernel["normalization"] == 1.0 / ((9 - ranks["rank"]) + (9 - ranks["pt_rank"]))
+    assert report["edge"]["verdict"] == "not edge"
+    assert "skipped" in report["witnesses"]["kernel"]
+    assert "normalized_distance" not in report["witnesses"]
+    assert searches == []

@@ -151,6 +151,22 @@ def test_rational_matrix_validation():
             linalg.exact_rank(rows)
 
 
+@pytest.mark.parametrize("kind", [complex, float])
+def test_exact_rank_rejects_inexact_entries(rho55, kind):
+    # a float would be read by its binary expansion, the rank of the rounded matrix
+    m = rho55.state.matrix if kind is complex else np.real(rho55.state.matrix)
+    with pytest.raises(ValueError, match=kind.__name__):
+        linalg.exact_rank(m)
+    with pytest.raises(ValueError, match=kind.__name__):
+        linalg.exact_rank([[1, 0], [0, kind(1)]])
+
+
+def test_exact_rank_reads_integer_arrays():
+    m = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]], dtype=np.int64)
+    assert linalg.exact_rank(m) == 2
+    assert linalg.exact_rank(m.astype(np.int32)) == 2
+
+
 def test_range_projector_trivial():
     assert np.abs(linalg.Spectrum.of(np.eye(4)).range_projector() - np.eye(4)).max() < 1e-14
     v = np.array([1.0, 1j, 0.0]) / np.sqrt(2)

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import helpers
 from conftest import EPS_5_5, EPS_6_6, TRACE_NORM_5_5, TRACE_NORM_6_6
 from pptedge import catalog
-from pptedge.criteria import certify_edge, edge_operator, realignment_criterion
+from pptedge.criteria import certify_edge, edge_operator, range_projectors, realignment_criterion
 from pptedge.bipartite import BipartiteOperator, realign
 from pptedge.exceptions import NotApplicableError
 from pptedge.optimize import SeeSawConfig, min_generic_quadratic
@@ -68,10 +70,24 @@ def test_kernel_witness_requires_rank_deficiency(fast_cfg):
         kernel_witness(certify_edge(catalog.get("max_mixed"), fast_cfg))
 
 
+def test_kernel_witness_requires_an_edge_verdict(rho55, fast_cfg):
+    # a rank-deficient separable state certifies "not edge" with a minimum of about zero, so
+    # its epsilon would be about zero too, of either sign: W1 would not be a witness
+    separable = certify_edge(BipartiteOperator(helpers.separable_mixture(4), 3, 3), fast_cfg)
+    assert separable.verdict == "not edge" and separable.operator is not None
+    with pytest.raises(NotApplicableError, match="'not edge'"):
+        kernel_witness(separable)
+    edge = certify_edge(rho55, fast_cfg)
+    with pytest.raises(NotApplicableError, match="'inconclusive'"):
+        kernel_witness(dataclasses.replace(edge, verdict="inconclusive"))
+
+
 def test_kernel_witness_is_normalized_edge_operator(rho55, fast_cfg):
     cert = certify_edge(rho55, fast_cfg)
     w = kernel_witness(cert)
-    expected = w.normalization * edge_operator(*cert.projectors, (3, 3)).matrix
+    # the certificate carries the operator its see-saw minimized, built from the spectral projectors
+    assert cert.operator.matrix.tobytes() == edge_operator(*range_projectors(rho55), (3, 3)).matrix.tobytes()
+    expected = w.normalization * cert.operator.matrix
     assert w.operator.matrix.tobytes() == (expected - w.epsilon * np.eye(9, dtype=complex)).tobytes()
     assert w.epsilon == w.normalization * cert.minimum
     assert w.source == cert.state == "rho_5_5"
