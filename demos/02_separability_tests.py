@@ -15,8 +15,8 @@ states = [rho_5_5(), rho_6_6(), *reference_states()]
 print(f"{'state':<18} {'PPT':<10} {'min PT eig':>12}   {'realign':<10} {'trace norm':>12}")
 print("-" * 70)
 for entry in states:
-    ppt = is_ppt(entry)
-    re = realignment_criterion(entry)
+    ppt = is_ppt(entry.state)
+    re = realignment_criterion(entry.state)
     print(f"{entry.name:<18} {ppt.verdict:<10} {ppt.evidence:>12.3e}   {re.verdict:<10} {re.evidence:>12.9f}")
 
 print()

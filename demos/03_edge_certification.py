@@ -35,7 +35,7 @@ for family in range_families("rho_5_5"):
 
 print()
 for entry in (r55, rho_6_6(), get("separable_sample")):
-    cert = certify_edge(entry, cfg)
+    cert = certify_edge(entry.state, cfg)
     print(
         f"{entry.name:<18} verdict: {cert.verdict:<16} minimum {cert.minimum:.3e}   "
         f"residuals ({cert.residual_range:.2e}, {cert.residual_pt_range:.2e})"

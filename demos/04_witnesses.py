@@ -33,20 +33,21 @@ cfg = SeeSawConfig(restarts=80, seed=42)
 
 for entry in (rho_5_5(), rho_6_6()):
     print("=" * 72)
-    w1 = kernel_witness(certify_edge(entry, cfg))
-    w2 = realignment_witness(entry)
+    rho = entry.state
+    w1 = kernel_witness(certify_edge(rho, cfg))
+    w2 = realignment_witness(rho)
     print(f"{entry.name}: kernel witness N = {w1.normalization:.6f}, eps = {w1.epsilon:.6e}")
     for w in (w1, w2):
-        detection = evaluate(w, entry)
+        detection = evaluate(w, rho)
         floor = min_generic_quadratic(w.operator, cfg).best_value
         s2 = schmidt2_evidence(w, cfg)
         coeffs = schmidt_coefficients(s2.argmin.vector, 3, 3)
-        shifted = shift_witness(w, entry, 1e-6)
+        shifted = shift_witness(w, rho, 1e-6)
         s2_shifted = schmidt2_evidence(shifted, cfg)
         print(f"  method {w.method:<8} Tr(W rho) = {detection:+.6e}   product floor = {floor:+.1e}")
         print(
             f"    Schmidt-rank-2 minimum {s2.best_value:+.6f} "
             f"(coefficients {coeffs[0]:.4f}, {coeffs[1]:.4f}, {coeffs[2]:.1e})"
         )
-        print(f"    shifted variant (eps 1e-6): detection {evaluate(shifted, entry):+.1e}, "
+        print(f"    shifted variant (eps 1e-6): detection {evaluate(shifted, rho):+.1e}, "
               f"rank-2 minimum {s2_shifted.best_value:+.6f}")

@@ -4,7 +4,9 @@ The package provides exact constructors for two 3x3 PPT entangled edge
 states of ranks (5,5) and (6,6), the separability tests that detect them
 (partial transposition, realignment, range membership), a deterministic
 multistart see-saw optimizer over product and Schmidt-rank-2 states, and two
-entanglement witness constructions with shifted variants.
+entanglement witness constructions with shifted variants. Every test,
+optimizer and witness takes its state or operator as a
+:class:`BipartiteOperator`; a catalog entry holds one as ``entry.state``.
 """
 
 __version__ = "0.1.0"

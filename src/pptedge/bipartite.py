@@ -44,17 +44,6 @@ class BipartiteOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "BipartiteOperator":
-        """Wrap a square d^2 x d^2 matrix, split as d x d."""
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        root = round(mat.shape[0] ** 0.5)
-        if root * root != mat.shape[0]:
-            raise ValueError(f"cannot split dimension {mat.shape[0]} as d x d; wrap the matrix in a BipartiteOperator")
-        return cls(mat, root, root)
-
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
@@ -87,13 +76,20 @@ class BipartiteOperator:
 
 
 def validate_density(op: BipartiteOperator, psd_tol: float = 1e-12) -> None:
-    """Check the density-matrix role: Hermitian, unit trace, PSD within ``psd_tol``."""
-    if not op.is_hermitian():
-        raise InvalidStateError("density matrix must be Hermitian within 1e-12")
+    """Check the density-matrix role: Hermitian, unit trace, PSD within ``psd_tol``.
+
+    Hermiticity is checked once, by the cached ``op.spectrum``, which every
+    later rank and PSD decision reads.
+    """
+    try:
+        lo = float(op.spectrum.values[0])
+    except np.linalg.LinAlgError:
+        raise  # an eigensolver failure is not an invalid state
+    except ValueError:
+        raise InvalidStateError("density matrix must be Hermitian within 1e-12") from None
     tr = op.trace
     if abs(tr - 1.0) > 1e-12:
         raise InvalidStateError(f"density matrix must have unit trace, got {tr:.15g}")
-    lo = float(op.spectrum.values[0])
     if lo < -psd_tol:
         raise InvalidStateError(f"density matrix has negative eigenvalue {lo:.3e}")
 

@@ -12,7 +12,9 @@ derived from the linear form that vectors in those ranges must take:
 * rho_6_6 range:      (A, B, C, D, E, F, C+E, -F, B+2D-A)
 * rho_6_6 PT range:   (A, B, C, D, -A, E, E-C, D, F)
 
-with one basis vector per free parameter.
+with one basis vector per free parameter. An entry's ``state`` is the
+:class:`~pptedge.bipartite.BipartiteOperator` that every test and witness
+takes; the exact data serve exact checks.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "ProductVectorFamily",
     "entries",
     "get",
-    "operator_and_name",
     "range_families",
     "reference_states",
     "rho_5_5",
@@ -108,19 +109,19 @@ class CatalogEntry:
     ``exact`` holds the integer numerator matrix, a read-only ``int64``
     array, and ``denominator`` its common denominator, so
     ``state.matrix == exact / denominator`` entrywise whenever ``exact`` is
-    present. Range bases are exact integer vectors spanning the range of the
-    state and of its partial transpose; reference entries without a useful
-    exact description carry ``None`` there. They are data for exact checks
-    only: ranks and range projectors come from the state's spectrum, as for
-    any other state.
+    present. ``range_basis`` and ``pt_range_basis`` are read-only ``int64``
+    (k x 9) arrays whose rows span the range of the state and of its partial
+    transpose; reference entries without a useful exact description carry
+    ``None`` there. They are data for exact checks only: ranks and range
+    projectors come from the state's spectrum, as for any other state.
     """
 
     name: str
     state: BipartiteOperator
     exact: np.ndarray | None
     denominator: int
-    range_basis: tuple[np.ndarray, ...] | None
-    pt_range_basis: tuple[np.ndarray, ...] | None
+    range_basis: np.ndarray | None
+    pt_range_basis: np.ndarray | None
 
     @property
     def exact_pt(self) -> np.ndarray | None:
@@ -130,38 +131,23 @@ class CatalogEntry:
         return transpose_b(self.exact, self.state.dim_a, self.state.dim_b)
 
 
-def operator_and_name(
-    state: BipartiteOperator | CatalogEntry, default: str = "custom"
-) -> tuple[BipartiteOperator, str]:
-    """The operator of a state and its catalog name, or ``default`` for a bare operator."""
-    return (state.state, state.name) if isinstance(state, CatalogEntry) else (state, default)
-
-
-def _numerator(rows) -> np.ndarray:
-    num = np.array(rows, dtype=np.int64)
-    num.setflags(write=False)
-    return num
-
-
-def _basis_arrays(rows: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
-    out = []
-    for row in rows:
-        v = np.array(row, dtype=complex)
-        v.setflags(write=False)
-        out.append(v)
-    return tuple(out)
+def _integers(rows) -> np.ndarray:
+    """Read-only ``int64`` array of integer rows."""
+    out = np.array(rows, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def _integer_entry(name: str, numerator, basis, pt_basis) -> CatalogEntry:
-    exact = _numerator(numerator)
+    exact = _integers(numerator)
     state = BipartiteOperator(exact / 13.0, 3, 3)
     return CatalogEntry(
         name=name,
         state=state,
         exact=exact,
         denominator=13,
-        range_basis=_basis_arrays(basis),
-        pt_range_basis=_basis_arrays(pt_basis),
+        range_basis=_integers(basis),
+        pt_range_basis=_integers(pt_basis),
     )
 
 
@@ -179,7 +165,7 @@ def _max_mixed() -> CatalogEntry:
     return CatalogEntry(
         name="max_mixed",
         state=BipartiteOperator(np.eye(9, dtype=complex) / 9.0, 3, 3),
-        exact=_numerator(np.eye(9)),
+        exact=_integers(np.eye(9)),
         denominator=9,
         range_basis=None,
         pt_range_basis=None,
@@ -196,7 +182,7 @@ def _max_entangled() -> CatalogEntry:
     return CatalogEntry(
         name="max_entangled",
         state=BipartiteOperator(mat, 3, 3),
-        exact=_numerator(num),
+        exact=_integers(num),
         denominator=3,
         range_basis=None,
         pt_range_basis=None,

@@ -4,6 +4,11 @@ Commands: ``catalog``, ``analyze``, ``witness``, ``certify-edge``,
 ``schmidt2``. Reports and matrix files are JSON; identical inputs with
 identical flags produce byte-identical output.
 
+The library takes every state as a ``BipartiteOperator`` and names none;
+this front end names each state by its input, the catalog name or the file
+path as given, in the report's ``state``, the edge block's ``state`` and
+each witness's ``source``.
+
 Exit codes: 0 success, 2 parse failure, 3 invalid state, 4 method not
 applicable, 5 internal numerical failure.
 """
@@ -103,13 +108,14 @@ def _config(args: argparse.Namespace) -> SeeSawConfig:
     return SeeSawConfig(restarts=args.restarts, max_iter=args.max_iter, conv_tol=args.conv_tol, seed=args.seed)
 
 
-def _load_state(name_or_path: str, psd_tol: float) -> catalog.CatalogEntry | BipartiteOperator:
-    """Resolve a catalog name or read and validate a density-matrix file."""
+def _load_state(name_or_path: str, psd_tol: float) -> tuple[BipartiteOperator, catalog.CatalogEntry | None]:
+    """The state of a catalog name, with its entry, or of a validated density-matrix file, with None."""
     if name_or_path in catalog.CATALOG_NAMES:
-        return catalog.get(name_or_path)
+        entry = catalog.get(name_or_path)
+        return entry.state, entry
     op, _ = read_matrix_file(name_or_path)
     validate_density(op, psd_tol)
-    return op
+    return op, None
 
 
 def _load_hermitian(path: str) -> BipartiteOperator:
@@ -145,39 +151,37 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _rank_block(state, args: argparse.Namespace) -> dict:
-    op, _ = catalog.operator_and_name(state)
+def _rank_block(op: BipartiteOperator, entry: catalog.CatalogEntry | None, args: argparse.Namespace) -> dict:
     block = {
         "rank": op.spectrum.rank(args.tol_eig),
         "pt_rank": op.pt.spectrum.rank(args.tol_eig),
     }
-    if isinstance(state, catalog.CatalogEntry) and state.exact is not None:
-        block["exact_rank"] = linalg.exact_rank(state.exact)
-        block["exact_pt_rank"] = linalg.exact_rank(state.exact_pt)
+    if entry is not None and entry.exact is not None:
+        block["exact_rank"] = linalg.exact_rank(entry.exact)
+        block["exact_pt_rank"] = linalg.exact_rank(entry.exact_pt)
     return block
 
 
-def _witness_summary(w: witness_mod.Witness, state, cfg: SeeSawConfig) -> dict:
-    evidence = witness_mod.schmidt2_evidence(w, cfg)
-    summary = dict(w.metadata())
-    summary["trace_with_state"] = witness_mod.evaluate(w, state)
+def _witness_summary(w: witness_mod.Witness, op: BipartiteOperator, args: argparse.Namespace) -> dict:
+    evidence = witness_mod.schmidt2_evidence(w, _config(args))
+    summary = w.metadata()
+    summary["source"] = args.input
+    summary["trace_with_state"] = witness_mod.evaluate(w, op)
     summary["schmidt2_best_value"] = evidence.best_value
     return summary
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    state = _load_state(args.input, args.tol_pos)
-    _, name = catalog.operator_and_name(state, args.input)
-    cfg = _config(args)
-    ppt = criteria.is_ppt(state, args.tol_pos)
+    op, entry = _load_state(args.input, args.tol_pos)
+    ppt = criteria.is_ppt(op, args.tol_pos)
     report = {
-        "state": name,
+        "state": args.input,
         "tool_version": __version__,
         "seed": args.seed,
         "tolerances": _tolerances(args),
-        "ranks": _rank_block(state, args),
+        "ranks": _rank_block(op, entry, args),
         "ppt": ppt.to_dict(),
-        "realignment": criteria.realignment_criterion(state).to_dict(),
+        "realignment": criteria.realignment_criterion(op).to_dict(),
     }
     if ppt.verdict != "pass":
         reason = "state is not PPT; edge certification and witness constructions apply to PPT states"
@@ -186,18 +190,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _emit(args, dumps_canonical(report))
         return EXIT_OK
 
-    edge = criteria.certify_edge(state, cfg, rel_tol=args.tol_eig, ppt_tol=args.tol_pos)
-    report["edge"] = edge.to_dict()
+    edge = criteria.certify_edge(op, _config(args), rel_tol=args.tol_eig, ppt_tol=args.tol_pos)
+    report["edge"] = {"state": args.input, **edge.to_dict()}
     summaries = {}
     try:
         w1 = witness_mod.kernel_witness(edge)
-        summaries["kernel"] = _witness_summary(w1, state, cfg)
+        summaries["kernel"] = _witness_summary(w1, op, args)
     except NotApplicableError as exc:
         w1 = None
         summaries["kernel"] = {"skipped": str(exc)}
     try:
-        w2 = witness_mod.realignment_witness(state)
-        summaries["realign"] = _witness_summary(w2, state, cfg)
+        w2 = witness_mod.realignment_witness(op)
+        summaries["realign"] = _witness_summary(w2, op, args)
     except NotApplicableError as exc:
         w2 = None
         summaries["realign"] = {"skipped": str(exc)}
@@ -211,32 +215,29 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    state = _load_state(args.input, args.tol_pos)
-    cfg = _config(args)
+    op, _ = _load_state(args.input, args.tol_pos)
     if args.method == "kernel":
-        w = witness_mod.kernel_witness(criteria.certify_edge(state, cfg, rel_tol=args.tol_eig, ppt_tol=args.tol_pos))
+        edge = criteria.certify_edge(op, _config(args), rel_tol=args.tol_eig, ppt_tol=args.tol_pos)
+        w = witness_mod.kernel_witness(edge)
     else:
-        w = witness_mod.realignment_witness(state)
+        w = witness_mod.realignment_witness(op)
     if args.shift is not None:
-        w = witness_mod.shift_witness(w, state, args.shift)
-    value = witness_mod.evaluate(w, state)
+        w = witness_mod.shift_witness(w, op, args.shift)
+    value = witness_mod.evaluate(w, op)
     meta = w.metadata()
+    meta["source"] = args.input
     meta["trace_with_state"] = value
-    text = dumps_canonical(matrix_payload(w.operator, meta))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        sys.stdout.write(f"Tr(W rho) = {value:.12e}\n")
-    else:
-        sys.stdout.write(text)
-        sys.stderr.write(f"Tr(W rho) = {value:.12e}\n")
+    _emit(args, dumps_canonical(matrix_payload(w.operator, meta)))
+    # the value goes beside the payload: to stdout when the payload went to a file
+    (sys.stdout if args.out else sys.stderr).write(f"Tr(W rho) = {value:.12e}\n")
     return EXIT_OK
 
 
 def _cmd_certify_edge(args: argparse.Namespace) -> int:
-    state = _load_state(args.input, args.tol_pos)
-    cert = criteria.certify_edge(state, _config(args), rel_tol=args.tol_eig, ppt_tol=args.tol_pos)
+    op, _ = _load_state(args.input, args.tol_pos)
+    cert = criteria.certify_edge(op, _config(args), rel_tol=args.tol_eig, ppt_tol=args.tol_pos)
     payload = cert.to_dict()
+    payload["state"] = args.input
     payload["seed"] = args.seed
     payload["tolerances"] = _tolerances(args)
     payload["argmin"] = {

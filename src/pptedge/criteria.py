@@ -17,7 +17,9 @@ Each decision is made once, on the cached spectra ``op.spectrum`` and
 ``op.pt.spectrum``. Positivity of the partial transpose is decided only by
 :func:`is_ppt` at its ``tol``; ranks, kernels and range projectors only by
 the ``rel_tol`` rule of :class:`~pptedge.linalg.Spectrum`, which applies no
-positivity check of its own, for catalog entries as for any other state.
+positivity check of its own. Every function takes the state as a
+:class:`~pptedge.bipartite.BipartiteOperator`, whatever its origin; naming
+a state is left to the caller.
 :func:`certify_edge` makes both decisions, and its :class:`EdgeCertificate`
 carries the verdict and the edge operator it minimized to every later
 consumer, such as :func:`~pptedge.witness.kernel_witness`. The realignment
@@ -33,7 +35,6 @@ import numpy as np
 
 from . import linalg
 from .bipartite import BipartiteOperator, ProductVector, partial_transpose
-from .catalog import CatalogEntry, operator_and_name
 from .exceptions import NotApplicableError
 from .optimize import OptResult, SeeSawConfig, min_generic_quadratic
 
@@ -86,7 +87,6 @@ class EdgeCertificate:
     promoted to an edge claim.
     """
 
-    state: str
     verdict: str
     minimum: float
     argmin: ProductVector
@@ -98,7 +98,6 @@ class EdgeCertificate:
     def to_dict(self) -> dict:
         """Report block; the see-saw statistics, over the restarts that ran, appear only when a see-saw ran."""
         out = {
-            "state": self.state,
             "verdict": self.verdict,
             "minimum": self.minimum,
             "residual_range": self.residual_range,
@@ -116,29 +115,24 @@ class EdgeCertificate:
         return out
 
 
-def range_projectors(
-    state: BipartiteOperator | CatalogEntry, rel_tol: float = linalg.DEFAULT_RANK_RTOL
-) -> tuple[np.ndarray, np.ndarray]:
+def range_projectors(op: BipartiteOperator, rel_tol: float = linalg.DEFAULT_RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """Projectors onto range(rho) and range(rho^T_B), from the cached spectra at ``rel_tol``.
 
-    Catalog entries take the same path as any other state, so their
-    projectors always agree with the ranks reported at ``rel_tol``.
+    They read the spectra the ranks are read from, so they always agree
+    with the ranks reported at ``rel_tol``.
     """
-    op, _ = operator_and_name(state)
     return op.spectrum.range_projector(rel_tol), op.pt.spectrum.range_projector(rel_tol)
 
 
-def is_ppt(state: BipartiteOperator | CatalogEntry, tol: float = 1e-12) -> CriterionReport:
+def is_ppt(op: BipartiteOperator, tol: float = 1e-12) -> CriterionReport:
     """PPT test: passes iff the partial transpose has no eigenvalue below -tol."""
-    op, _ = operator_and_name(state)
     evidence = float(op.pt.spectrum.values[0])
     verdict = "pass" if evidence >= -tol else "violated"
     return CriterionReport("ppt", verdict, evidence, tol)
 
 
-def realignment_criterion(state: BipartiteOperator | CatalogEntry) -> CriterionReport:
+def realignment_criterion(op: BipartiteOperator) -> CriterionReport:
     """Realignment test: entanglement is flagged when the realigned trace norm, cached on the operator, exceeds one."""
-    op, _ = operator_and_name(state)
     evidence = op.realigned_trace_norm
     verdict = "violated" if evidence > 1.0 + REALIGNMENT_SLACK else "pass"
     return CriterionReport("realignment", verdict, evidence, REALIGNMENT_SLACK)
@@ -157,7 +151,7 @@ def edge_operator(p_range: np.ndarray, p_pt_range: np.ndarray, dims: tuple[int, 
 
 
 def certify_edge(
-    state: BipartiteOperator | CatalogEntry,
+    op: BipartiteOperator,
     cfg: SeeSawConfig = SeeSawConfig(),
     rel_tol: float = linalg.DEFAULT_RANK_RTOL,
     ppt_tol: float = 1e-12,
@@ -172,14 +166,12 @@ def certify_edge(
     restart that ran stays above the positive threshold, "not edge" when
     some restart reaches (numerical) zero, and "inconclusive" in between.
     """
-    op, name = operator_and_name(state)
-    ppt = is_ppt(state, ppt_tol)
+    ppt = is_ppt(op, ppt_tol)
     if ppt.verdict != "pass":
         raise NotApplicableError(f"state is not PPT: min partial-transpose eigenvalue {ppt.evidence:.3e}")
     if op.spectrum.rank(rel_tol) == op.pt.spectrum.rank(rel_tol) == op.dim:
         # every product vector and its partner lie in the full space, e0 (x) e0 among them
         return EdgeCertificate(
-            state=name,
             verdict="not edge",
             minimum=0.0,
             argmin=ProductVector(np.eye(op.dim_a)[0], np.eye(op.dim_b)[0]),
@@ -202,7 +194,6 @@ def certify_edge(
     else:
         verdict = "inconclusive"
     return EdgeCertificate(
-        state=name,
         verdict=verdict,
         minimum=minimum,
         argmin=pv,

@@ -114,13 +114,8 @@ class OptResult:
         }
 
 
-def _objective(operator: BipartiteOperator | np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
-    """The Hermitian matrix of the objective and its tensor split.
-
-    A :class:`BipartiteOperator` brings its own split; a plain matrix is
-    split as d x d by :meth:`BipartiteOperator.from_matrix`.
-    """
-    op = operator if isinstance(operator, BipartiteOperator) else BipartiteOperator.from_matrix(operator)
+def _objective(op: BipartiteOperator) -> tuple[np.ndarray, tuple[int, int]]:
+    """The Hermitian matrix of the objective and its tensor split; a non-Hermitian operator raises."""
     if not op.is_hermitian():
         raise ValueError("objective operator must be Hermitian within 1e-12")
     return op.matrix, (op.dim_a, op.dim_b)
@@ -252,26 +247,20 @@ def _multistart(
     )
 
 
-def min_generic_quadratic(
-    operator: BipartiteOperator | np.ndarray,
-    cfg: SeeSawConfig = SeeSawConfig(),
-) -> OptResult:
+def min_generic_quadratic(operator: BipartiteOperator, cfg: SeeSawConfig = SeeSawConfig()) -> OptResult:
     """Heuristic infimum of <ab| H |ab> over unit product vectors (a, b).
 
     The contraction of the Hermitian H with either fixed factor is an
     effective Hermitian operator for the other, so every half-step is an
-    exact eigenvector update. A :class:`BipartiteOperator` brings its own
-    tensor split; a plain d^2 x d^2 matrix is split as d x d.
+    exact eigenvector update. The operator's tensor split is the one
+    minimized over.
     """
     h, dims = _objective(operator)
     steps = (_half_step(h, dims, 1), _half_step(h, dims, 0))
     return _multistart(cfg, dims, 1, steps, lambda a_best, b_best: ProductVector(a_best[:, 0], b_best[:, 0]))
 
 
-def min_schmidt2_expectation(
-    operator: BipartiteOperator | np.ndarray,
-    cfg: SeeSawConfig = SeeSawConfig(),
-) -> OptResult:
+def min_schmidt2_expectation(operator: BipartiteOperator, cfg: SeeSawConfig = SeeSawConfig()) -> OptResult:
     """Minimize the Rayleigh quotient of H over states of Schmidt rank at most 2.
 
     The 3x3 coefficient matrix of the state is kept factored as
@@ -281,8 +270,8 @@ def min_schmidt2_expectation(
     Hermitian operator in the other factor, so the same monotone alternation
     applies.
     The returned state has at most two nonzero Schmidt coefficients by
-    construction. An operator on another bipartite space, or a plain matrix
-    whose d x d split is not 3x3, raises :class:`NotApplicableError`.
+    construction. An operator on another bipartite space than 3x3 raises
+    :class:`NotApplicableError`.
     """
     h, dims = _objective(operator)
     if dims != (3, 3):

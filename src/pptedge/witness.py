@@ -4,7 +4,13 @@ Two constructions are provided. The kernel witness for an edge state delta
 starts from W = N * (P + Q^T_B) with P, Q the kernel projectors of delta and
 its partial transpose and N = 1 / Tr(P + Q^T_B); subtracting the product
 infimum epsilon of W makes the result a witness that detects delta with
-Tr(W1 delta) = -epsilon. P + Q^T_B is :func:`~pptedge.criteria.edge_operator`,
+Tr(W1 delta) = -epsilon. That identity holds only when the eigenvalues of
+delta and delta^T_B that the rank rule drops at the certificate's
+``rel_tol`` (the command line's ``--tol-eig``) are zero, since
+Tr(W delta) = N (Tr(P delta) + Tr(Q delta^T_B)) sums exactly those
+eigenvalues. At a coarser threshold the "kernels" hold eigenvectors of
+nonzero eigenvalue, Tr(W1 delta) lies above -epsilon and can be positive:
+W1 then describes the truncated state, not delta. P + Q^T_B is :func:`~pptedge.criteria.edge_operator`,
 whose expectation <ab|P + Q^T_B|ab> is the edge objective at (a, b), so
 epsilon is N times the edge certificate's minimum by construction, exactly as
 heuristic as that minimum, and no second see-saw runs. The witness is a pure
@@ -32,7 +38,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bipartite import BipartiteOperator, realign
-from .catalog import CatalogEntry, operator_and_name
 from .criteria import EdgeCertificate, realignment_criterion
 from .exceptions import NotApplicableError
 from .optimize import OptResult, SeeSawConfig, min_schmidt2_expectation
@@ -54,19 +59,19 @@ class Witness:
     ``epsilon`` is the heuristic product-state infimum used in the kernel
     construction, N times the minimum of the edge certificate it comes from;
     ``normalization`` is the trace normalization N. Shifted witnesses keep
-    their ancestor's metadata and record ``eps_shift``.
+    their ancestor's metadata and record ``eps_shift``. A witness does not
+    name its source state; the caller that holds the name reports it.
     """
 
     operator: BipartiteOperator
     method: str
-    source: str
     epsilon: float | None = None
     normalization: float | None = None
     eps_shift: float | None = None
     base_method: str | None = None
 
     def metadata(self) -> dict:
-        meta: dict = {"method": self.method, "source": self.source}
+        meta: dict = {"method": self.method}
         if self.epsilon is not None:
             meta["epsilon"] = self.epsilon
         if self.normalization is not None:
@@ -78,22 +83,14 @@ class Witness:
         return meta
 
 
-def _witness_matrix(w: Witness | BipartiteOperator | np.ndarray) -> np.ndarray:
-    if isinstance(w, Witness):
-        return w.operator.matrix
-    if isinstance(w, BipartiteOperator):
-        return w.matrix
-    return np.asarray(w, dtype=complex)
-
-
-def evaluate(w: Witness | BipartiteOperator | np.ndarray, state: BipartiteOperator | CatalogEntry) -> float:
+def evaluate(w: Witness | BipartiteOperator, state: BipartiteOperator) -> float:
     """Real part of Tr(W^dagger rho); the imaginary part must be negligible.
 
     For Hermitian W and rho the trace is real up to roundoff; a genuinely
     complex value signals a non-Hermitian operand and raises.
     """
-    wm = _witness_matrix(w)
-    rho = operator_and_name(state)[0].matrix
+    wm = (w.operator if isinstance(w, Witness) else w).matrix
+    rho = state.matrix
     if wm.shape != rho.shape:
         raise ValueError(f"dimension mismatch: witness {wm.shape} vs state {rho.shape}")
     val = complex(np.trace(wm.conj().T @ rho))
@@ -108,7 +105,9 @@ def kernel_witness(edge: EdgeCertificate) -> Witness:
     Takes W = N (P + Q^T_B), with P and Q the kernel projectors of the state
     and of its partial transpose, from ``edge.operator``, and returns
     W1 = W - epsilon * identity, with epsilon = N * edge.minimum the product
-    infimum of W. Fails with :class:`NotApplicableError` unless the verdict
+    infimum of W. Tr(W1 rho) = -epsilon only when the eigenvalues that
+    ``rel_tol`` dropped from rho and rho^T_B are zero (see the module
+    docstring). Fails with :class:`NotApplicableError` unless the verdict
     is "edge (heuristic)": on any other verdict epsilon is not positive, or
     not known to be, and W1 would not be a witness. A non-PPT state has no
     certificate.
@@ -124,13 +123,12 @@ def kernel_witness(edge: EdgeCertificate) -> Witness:
     return Witness(
         operator=BipartiteOperator(w_delta - eps * np.eye(op.dim, dtype=complex), op.dim_a, op.dim_b),
         method="kernel",
-        source=edge.state,
         epsilon=eps,
         normalization=norm,
     )
 
 
-def realignment_witness(state: BipartiteOperator | CatalogEntry) -> Witness:
+def realignment_witness(op: BipartiteOperator) -> Witness:
     """Witness W2 = I - R(U V^dagger), Hermitized, from the SVD R(rho) = U D V^dagger of the realigned state.
 
     Built exactly when :func:`~pptedge.criteria.realignment_criterion` says
@@ -142,7 +140,6 @@ def realignment_witness(state: BipartiteOperator | CatalogEntry) -> Witness:
     any pairing of U and V gives a unitary aligner, of operator norm one,
     which is all the witness argument uses.
     """
-    op, name = operator_and_name(state)
     report = realignment_criterion(op)
     if report.verdict != "violated":
         raise NotApplicableError(f"realignment witness requires trace norm > 1, got {report.evidence:.12g}")
@@ -152,14 +149,10 @@ def realignment_witness(state: BipartiteOperator | CatalogEntry) -> Witness:
     aligner = u @ vh
     raw = np.eye(op.dim, dtype=complex) - realign(BipartiteOperator(aligner, op.dim_a, op.dim_b))
     herm = (raw + raw.conj().T) / 2
-    return Witness(
-        operator=BipartiteOperator(herm, op.dim_a, op.dim_b),
-        method="realign",
-        source=name,
-    )
+    return Witness(operator=BipartiteOperator(herm, op.dim_a, op.dim_b), method="realign")
 
 
-def shift_witness(w: Witness, state: BipartiteOperator | CatalogEntry, eps_shift: float = 1e-6) -> Witness:
+def shift_witness(w: Witness, state: BipartiteOperator, eps_shift: float = 1e-6) -> Witness:
     """Subtract (Tr(W rho) + eps_shift) * identity, so the shifted witness detects rho by exactly -eps_shift."""
     if not eps_shift > 0.0:
         raise ValueError("eps_shift must be > 0")
@@ -175,7 +168,7 @@ def shift_witness(w: Witness, state: BipartiteOperator | CatalogEntry, eps_shift
     )
 
 
-def schmidt2_evidence(w: Witness | BipartiteOperator | np.ndarray, cfg: SeeSawConfig = SeeSawConfig()) -> OptResult:
+def schmidt2_evidence(w: Witness | BipartiteOperator, cfg: SeeSawConfig = SeeSawConfig()) -> OptResult:
     """Minimize the witness over Schmidt-rank-2 states.
 
     A negative best value exhibits a Schmidt-rank-2 state the witness

@@ -47,12 +47,12 @@ def entries():
 
 @pytest.fixture(scope="module")
 def kernel_witnesses(entries):
-    return tuple(kernel_witness(certify_edge(entry, DEFAULT)) for entry in entries)
+    return tuple(kernel_witness(certify_edge(entry.state, DEFAULT)) for entry in entries)
 
 
 @pytest.fixture(scope="module")
 def realignment_witnesses(entries):
-    return tuple(realignment_witness(entry) for entry in entries)
+    return tuple(realignment_witness(entry.state) for entry in entries)
 
 
 def test_criterion_01_exact_ranks(entries):
@@ -123,17 +123,17 @@ def test_criterion_06_edge_certification(entries):
     details = []
     for entry, pinned in zip(entries, (EDGE_MIN_5_5, EDGE_MIN_6_6)):
         start = time.perf_counter()
-        cert = certify_edge(entry, DEFAULT)
+        cert = certify_edge(entry.state, DEFAULT)
         elapsed = time.perf_counter() - start
         ok &= cert.verdict == "edge (heuristic)" and cert.minimum > 1e-6 and elapsed < 30.0
         seeded = [
-            certify_edge(entry, SeeSawConfig(seed=s)).minimum for s in (1, 2, 3, 4, 5)
+            certify_edge(entry.state, SeeSawConfig(seed=s)).minimum for s in (1, 2, 3, 4, 5)
         ]
         med = float(np.median(seeded))
         ok &= all(abs(m - med) <= 0.2 * med for m in seeded)
         ok &= abs(cert.minimum - pinned) < 0.2 * pinned
         details.append(f"{entry.name}: min {cert.minimum:.3e} in {elapsed:.1f}s")
-    separable = certify_edge(catalog.get("separable_sample"), DEFAULT)
+    separable = certify_edge(catalog.get("separable_sample").state, DEFAULT)
     ok &= separable.verdict == "not edge" and separable.minimum < 1e-10
     _report(6, "edge minima positive and seed-stable; separable mixture reaches zero", ok, "; ".join(details))
 
@@ -144,7 +144,7 @@ def test_criterion_07_kernel_witness(entries, kernel_witnesses):
     for entry, w, expected_norm in zip(entries, kernel_witnesses, (1.0 / 8.0, 1.0 / 6.0)):
         ok &= w.normalization == expected_norm
         ok &= w.epsilon > 0.0
-        ok &= abs(evaluate(w, entry) + w.epsilon) < 1e-10
+        ok &= abs(evaluate(w, entry.state) + w.epsilon) < 1e-10
         floor = min_generic_quadratic(w.operator, DEFAULT)
         ok &= floor.best_value >= -1e-7
         details.append(f"{entry.name}: eps {w.epsilon:.3e}")
@@ -154,7 +154,7 @@ def test_criterion_07_kernel_witness(entries, kernel_witnesses):
 def test_criterion_08_realignment_witness(entries, realignment_witnesses):
     ok = True
     for entry, w, pinned in zip(entries, realignment_witnesses, (TRACE_NORM_5_5, TRACE_NORM_6_6)):
-        value = evaluate(w, entry)
+        value = evaluate(w, entry.state)
         ok &= abs(value - (1.0 - pinned)) < 1e-9
         floor = min_generic_quadratic(w.operator, DEFAULT)
         ok &= floor.best_value >= -1e-7
@@ -167,7 +167,7 @@ def test_criterion_09_schmidt_rank2_evidence(entries, kernel_witnesses, realignm
     details = []
     witnesses = list(zip(entries, kernel_witnesses)) + list(zip(entries, realignment_witnesses))
     for entry, w in witnesses:
-        for variant in (w, shift_witness(w, entry, 1e-6)):
+        for variant in (w, shift_witness(w, entry.state, 1e-6)):
             res = schmidt2_evidence(variant, DEFAULT)
             coeffs = schmidt_coefficients(res.argmin.vector, 3, 3)
             ok &= res.best_value < 0.0
@@ -193,7 +193,7 @@ def test_criterion_10_optimizer_properties(entries):
         ok &= float(np.diff(half_step_values(h, 1, trace_cfg), axis=0).max()) <= 1e-14
 
     # byte-identical determinism
-    h = helpers.random_hermitian(np.random.default_rng(78), 9)
+    h = BipartiteOperator(helpers.random_hermitian(np.random.default_rng(78), 9), 3, 3)
     ok &= pickle.dumps(min_generic_quadratic(h, DEFAULT)) == pickle.dumps(min_generic_quadratic(h, DEFAULT))
 
     # brute-force oracle agreement on 2 (x) 2
@@ -201,7 +201,7 @@ def test_criterion_10_optimizer_properties(entries):
     worst = 0.0
     for _ in range(6):
         h2 = helpers.random_hermitian(oracle_rng, 4)
-        found = min_generic_quadratic(h2, SeeSawConfig(restarts=50, seed=1)).best_value
+        found = min_generic_quadratic(BipartiteOperator(h2, 2, 2), SeeSawConfig(restarts=50, seed=1)).best_value
         worst = max(worst, abs(found - helpers.brute_force_product_min_2x2(h2)))
     ok &= worst < 1e-4
     _report(10, "monotone half-steps, byte-identical determinism, brute-force agreement", ok, f"oracle gap {worst:.1e}")

@@ -121,10 +121,6 @@ def test_realigned_separable_mixtures_have_small_trace_norm():
 def test_operator_shape_validation():
     with pytest.raises(ValueError):
         BipartiteOperator(np.eye(8), 3, 3)
-    op = BipartiteOperator.from_matrix(np.eye(4))
-    assert (op.dim_a, op.dim_b) == (2, 2)
-    with pytest.raises(ValueError):
-        BipartiteOperator.from_matrix(np.eye(5))
 
 
 def test_validate_density(rho55):

@@ -75,9 +75,8 @@ def test_range_bases_span_the_ranges_exactly(name, rank):
     entry = catalog.get(name)
     for num, basis in ((entry.exact, entry.range_basis), (entry.exact_pt, entry.pt_range_basis)):
         assert np.array_equal(num, num.T)
-        b = np.real(np.array(basis)).astype(np.int64)
-        assert np.array_equal(b, np.array(basis))
-        assert linalg.exact_rank(num) == linalg.exact_rank(b) == linalg.exact_rank(np.vstack([num, b])) == rank
+        assert basis.dtype == np.int64 and basis.shape == (rank, 9) and not basis.flags.writeable
+        assert linalg.exact_rank(num) == linalg.exact_rank(basis) == linalg.exact_rank(np.vstack([num, basis])) == rank
 
 
 def test_linear_constraint_pattern_vectors(rho66):
@@ -168,11 +167,11 @@ def test_family_samples_deterministic():
 def test_reference_states_labels_and_ppt():
     refs = {e.name: e for e in catalog.reference_states()}
     assert set(refs) == {"max_mixed", "max_entangled", "separable_sample"}
-    assert is_ppt(refs["max_mixed"]).verdict == "pass"
-    report = is_ppt(refs["max_entangled"])
+    assert is_ppt(refs["max_mixed"].state).verdict == "pass"
+    report = is_ppt(refs["max_entangled"].state)
     assert report.verdict == "violated"
     assert abs(report.evidence + 1.0 / 3.0) < 1e-12
-    assert is_ppt(refs["separable_sample"]).verdict == "pass"
+    assert is_ppt(refs["separable_sample"].state).verdict == "pass"
     assert linalg.Spectrum.of(refs["max_mixed"].state.matrix).rank() == 9
     assert linalg.Spectrum.of(refs["max_entangled"].state.matrix).rank() == 1
     assert linalg.Spectrum.of(refs["separable_sample"].state.matrix).rank() == 9

@@ -448,6 +448,8 @@ def _non_psd_matrix() -> np.ndarray:
     [("full_rank_ppt", 0, 2), ("npt", 0, 2), ("non_psd", 3, 1)],
 )
 def test_analyze_decomposes_each_matrix_once(tmp_path, monkeypatch, capsys, name, exit_code, expected):
+    from pptedge import linalg
+
     v = helpers.max_entangled_vector(3)
     matrix = {
         "full_rank_ppt": 0.9 * catalog.rho_5_5().state.matrix + 0.1 * np.eye(9) / 9,
@@ -456,9 +458,19 @@ def test_analyze_decomposes_each_matrix_once(tmp_path, monkeypatch, capsys, name
     }[name]
     path = _state_file(tmp_path, name, matrix)
     solves = _count_dense_eigensolves(monkeypatch)
+    # the density check reads the spectrum, whose decomposition is the one Hermiticity check of rho
+    is_hermitian, hermiticity_checks = linalg.is_hermitian, []
+
+    def counted(m, *args, **kwargs):
+        if np.shape(m) == matrix.shape and np.array_equal(m, matrix):
+            hermiticity_checks.append(1)
+        return is_hermitian(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "is_hermitian", counted)
     assert main(["analyze", path, *FAST]) == exit_code
     capsys.readouterr()
     assert len(solves) == expected, solves
+    assert len(hermiticity_checks) == 1
 
 
 def test_utf8_file_reads_under_an_ascii_locale(tmp_path):
@@ -512,6 +524,12 @@ def test_kernel_witness_normalization_agrees_with_reported_ranks(capsys, name, t
     assert report["edge"]["verdict"] == "edge (heuristic)"
     kernel = report["witnesses"]["kernel"]
     assert kernel["normalization"] == 1.0 / ((9 - ranks["rank"]) + (9 - ranks["pt_rank"]))
+    # Tr(W1 rho) = -eps needs the eigenvalues dropped at --tol-eig to be zero; at 0.3 the
+    # "kernels" hold eigenvectors of nonzero eigenvalue, and W1 no longer detects rho
+    if rank in (5, 6):
+        assert abs(kernel["trace_with_state"] + kernel["epsilon"]) < 1e-12
+    else:
+        assert kernel["epsilon"] > 0.0 and kernel["trace_with_state"] > 0.0
 
 
 @pytest.mark.parametrize("weight,tol_eig,rank", [(0.0, "1e-9", 4), (1e-7, "1e-9", 5), (1e-7, "1e-5", 4)])
@@ -532,3 +550,46 @@ def test_analyze_separable_reports_ranks_at_tol_eig_and_skips_kernel_witness(
     assert "skipped" in report["witnesses"]["kernel"]
     assert "normalized_distance" not in report["witnesses"]
     assert searches == []
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("non_hermitian", "density matrix must be Hermitian within 1e-12"),
+        ("trace_two", "density matrix must have unit trace, got 2+0j"),
+        ("non_psd", "density matrix has negative eigenvalue -1.000e-01"),
+    ],
+)
+def test_invalid_state_messages(tmp_path, capsys, name, message):
+    skew = np.eye(9, dtype=complex) / 9
+    skew[0, 1] = 0.01j
+    matrix = {"non_hermitian": skew, "trace_two": 2 * np.eye(9) / 9, "non_psd": _non_psd_matrix()}[name]
+    path = _state_file(tmp_path, name, matrix)
+    for command in (["analyze"], ["certify-edge"], ["witness", "--method", "realign"]):
+        assert main([command[0], path, *command[1:], *FAST]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_a_file_state_is_named_by_its_path(tmp_path, capsys):
+    path = _state_file(tmp_path, "edge", catalog.rho_5_5().state.matrix)
+    report = _run_json(capsys, ["analyze", path, *FAST])
+    assert report["state"] == path
+    assert report["edge"]["state"] == path
+    assert report["witnesses"]["kernel"]["source"] == path
+    assert report["witnesses"]["realign"]["source"] == path
+    assert _run_json(capsys, ["certify-edge", path, *FAST])["state"] == path
+    for method in ("kernel", "realign"):
+        assert main(["witness", path, "--method", method, *FAST]) == 0
+        captured = capsys.readouterr()
+        meta = json.loads(captured.out)["metadata"]
+        assert meta["source"] == path
+        assert captured.err == f"Tr(W rho) = {meta['trace_with_state']:.12e}\n"
+        # with --out the payload goes to the file and the value to stdout
+        out = tmp_path / f"{method}.json"
+        assert main(["witness", path, "--method", method, *FAST, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (f"Tr(W rho) = {meta['trace_with_state']:.12e}\n", "")
+        assert json.loads(out.read_text())["metadata"] == meta
+    assert main(["witness", path, "--method", "realign", *FAST, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == ""

@@ -20,33 +20,33 @@ from pptedge.optimize import SeeSawConfig
 
 def test_is_ppt_catalog_states(rho55, rho66):
     for entry in (rho55, rho66):
-        report = is_ppt(entry)
+        report = is_ppt(entry.state)
         assert report.verdict == "pass"
         assert report.evidence >= -1e-12
 
 
 def test_is_ppt_max_entangled_violated():
-    report = is_ppt(catalog.get("max_entangled"))
+    report = is_ppt(catalog.get("max_entangled").state)
     assert report.verdict == "violated"
     assert abs(report.evidence + 1.0 / 3.0) < 1e-12
 
 
 def test_is_ppt_max_mixed():
-    report = is_ppt(catalog.get("max_mixed"))
+    report = is_ppt(catalog.get("max_mixed").state)
     assert report.verdict == "pass"
     assert abs(report.evidence - 1.0 / 9.0) < 1e-12
 
 
 def test_realignment_criterion_catalog(rho55, rho66):
     for entry, pinned in ((rho55, TRACE_NORM_5_5), (rho66, TRACE_NORM_6_6)):
-        report = realignment_criterion(entry)
+        report = realignment_criterion(entry.state)
         assert report.verdict == "violated"
         assert abs(report.evidence - pinned) < 1e-9
 
 
 def test_realignment_evidence_matches_independent_oracle(rho55, rho66):
     for entry in (rho55, rho66):
-        report = realignment_criterion(entry)
+        report = realignment_criterion(entry.state)
         oracle = helpers.dilation_trace_norm(realign(entry.state))
         assert abs(report.evidence - oracle) < 1e-9
 
@@ -58,12 +58,12 @@ def test_realignment_criterion_product_and_mixed_states():
     report = realignment_criterion(product)
     assert report.verdict == "pass"
     assert abs(report.evidence - 1.0) < 1e-12
-    mixed = realignment_criterion(catalog.get("max_mixed"))
+    mixed = realignment_criterion(catalog.get("max_mixed").state)
     assert mixed.verdict == "pass"
     assert abs(mixed.evidence - 1.0 / 3.0) < 1e-12
 
 
-def _edge_expectation(state, a, b) -> float:
+def _edge_expectation(state: BipartiteOperator, a, b) -> float:
     """Expectation of the edge operator in the normalized product a (x) b: the edge objective at (a, b)."""
     v = ProductVector(a, b).tensor()
     op = edge_operator(*range_projectors(state), (3, 3))
@@ -71,7 +71,7 @@ def _edge_expectation(state, a, b) -> float:
 
 
 def test_edge_objective_vanishes_for_full_ranges():
-    mixed = catalog.get("max_mixed")
+    mixed = catalog.get("max_mixed").state
     rng = np.random.default_rng(11)
     for _ in range(5):
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -83,14 +83,14 @@ def test_edge_objective_phase_invariance(rho55):
     rng = np.random.default_rng(12)
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    base = _edge_expectation(rho55, a, b)
-    rotated = _edge_expectation(rho55, a * np.exp(0.7j), b * np.exp(-1.3j))
+    base = _edge_expectation(rho55.state, a, b)
+    rotated = _edge_expectation(rho55.state, a * np.exp(0.7j), b * np.exp(-1.3j))
     assert abs(base - rotated) < 1e-12
 
 
 def test_edge_objective_orthogonal_pair_is_two(rho55):
     # e0 (x) e0 is orthogonal to both stored ranges (their first coordinate vanishes)
-    value = _edge_expectation(rho55, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    value = _edge_expectation(rho55.state, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     assert abs(value - 2.0) < 1e-12
 
 
@@ -99,13 +99,13 @@ def test_family_vectors_are_in_range_but_partners_are_not(rho55):
         for pv in family.samples(25, seed=8):
             in_range = linalg.residual_norm(pv.tensor(), linalg.span_projector(rho55.range_basis))
             assert in_range**2 < 1e-10
-            total = _edge_expectation(rho55, pv.a, pv.b)
+            total = _edge_expectation(rho55.state, pv.a, pv.b)
             assert total > 1e-6, family.name
 
 
 def test_certify_edge_catalog(rho55, rho66, fast_cfg):
     for entry, pinned in ((rho55, EDGE_MIN_5_5), (rho66, EDGE_MIN_6_6)):
-        cert = certify_edge(entry, fast_cfg)
+        cert = certify_edge(entry.state, fast_cfg)
         assert cert.verdict == "edge (heuristic)"
         assert abs(cert.minimum - pinned) < 1e-6 * pinned + 1e-12
         recombined = cert.residual_range**2 + cert.residual_pt_range**2
@@ -116,7 +116,7 @@ def test_certify_edge_catalog(rho55, rho66, fast_cfg):
 def test_certify_edge_argmin_pivots_are_exactly_real(rho55, rho66, fast_cfg):
     # ProductVector applies the phase convention once, to the reported point
     for entry in (rho55, rho66):
-        argmin = certify_edge(entry, fast_cfg).argmin
+        argmin = certify_edge(entry.state, fast_cfg).argmin
         for factor in (argmin.a, argmin.b):
             piv = factor[np.argmax(np.abs(factor))]
             assert piv.imag == 0.0
@@ -124,25 +124,25 @@ def test_certify_edge_argmin_pivots_are_exactly_real(rho55, rho66, fast_cfg):
 
 
 def test_certify_edge_separable_not_edge(fast_cfg):
-    cert = certify_edge(catalog.get("separable_sample"), fast_cfg)
+    cert = certify_edge(catalog.get("separable_sample").state, fast_cfg)
     assert cert.verdict == "not edge"
     assert cert.minimum < 1e-10
 
 
 def test_certify_edge_requires_ppt(fast_cfg):
     with pytest.raises(NotApplicableError):
-        certify_edge(catalog.get("max_entangled"), fast_cfg)
+        certify_edge(catalog.get("max_entangled").state, fast_cfg)
 
 
 def test_certify_edge_seed_stability(rho55):
-    minima = [certify_edge(rho55, SeeSawConfig(restarts=60, max_iter=400, seed=s)).minimum for s in (1, 2, 3)]
+    minima = [certify_edge(rho55.state, SeeSawConfig(restarts=60, max_iter=400, seed=s)).minimum for s in (1, 2, 3)]
     med = float(np.median(minima))
     for m in minima:
         assert abs(m - med) <= 0.2 * med
 
 
 def test_certificate_serializes(rho55, fast_cfg):
-    cert = certify_edge(rho55, fast_cfg)
+    cert = certify_edge(rho55.state, fast_cfg)
     payload = cert.to_dict()
     text = json.dumps(payload, sort_keys=True)
     assert json.loads(text)["verdict"] == "edge (heuristic)"
@@ -156,7 +156,7 @@ def test_residual_norm_rejects_zero_vector_against_stored_range(rho55):
 
 @pytest.mark.parametrize("name", ["rho_5_5", "rho_6_6", "separable_rank4"])
 def test_edge_operator_expectation_is_edge_objective(name):
-    state = BipartiteOperator(helpers.separable_mixture(4), 3, 3) if name == "separable_rank4" else catalog.get(name)
+    state = BipartiteOperator(helpers.separable_mixture(4), 3, 3) if name == "separable_rank4" else catalog.get(name).state
     p_range, p_pt = range_projectors(state)
     op = edge_operator(p_range, p_pt, (3, 3))
     assert op.is_hermitian()

@@ -11,6 +11,11 @@ from pptedge.optimize import OptResult, SeeSawConfig, min_generic_quadratic, min
 QUICK = SeeSawConfig(restarts=30, max_iter=300, seed=5)
 
 
+def _op(h: np.ndarray) -> BipartiteOperator:
+    """A 9x9 matrix as an operator on C^3 (x) C^3."""
+    return BipartiteOperator(h, 3, 3)
+
+
 def _product_value(h: np.ndarray, pv) -> float:
     v = pv.tensor()
     return float(np.real(np.vdot(v, h @ v)))
@@ -22,36 +27,36 @@ def _plus_conjugate_term(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 
 
 def test_identity_objective_is_one():
-    res = min_generic_quadratic(np.eye(9), QUICK)
+    res = min_generic_quadratic(_op(np.eye(9)), QUICK)
     assert abs(res.best_value - 1.0) < 1e-12
 
 
 def test_max_entangled_projector_reaches_zero():
     v = helpers.max_entangled_vector(3)
-    res = min_generic_quadratic(np.outer(v, v.conj()), QUICK)
+    res = min_generic_quadratic(_op(np.outer(v, v.conj())), QUICK)
     assert res.best_value < 1e-9
 
 
 def test_swap_operator_reaches_zero():
-    res = min_generic_quadratic(helpers.swap_operator(3), QUICK)
+    res = min_generic_quadratic(_op(helpers.swap_operator(3)), QUICK)
     assert -1e-12 <= res.best_value < 1e-9
 
 
 def test_zero_objective():
-    res = min_generic_quadratic(np.zeros((9, 9)), QUICK)
+    res = min_generic_quadratic(_op(np.zeros((9, 9))), QUICK)
     assert abs(res.best_value) < 1e-12
 
 
 def test_full_space_projector_complement_is_zero():
     # objective norm((I - P) v)^2 with P the full-space projector
-    res = min_generic_quadratic(np.eye(9) - np.eye(9), QUICK)
+    res = min_generic_quadratic(_op(np.eye(9) - np.eye(9)), QUICK)
     assert abs(res.best_value) < 1e-12
 
 
 def test_best_value_is_minimum_of_restarts():
     rng = np.random.default_rng(0)
     h = helpers.random_hermitian(rng, 9)
-    res = min_generic_quadratic(h, QUICK)
+    res = min_generic_quadratic(_op(h), QUICK)
     assert res.best_value == float(res.restart_values.min())
     assert res.best_index == int(np.argmin(res.restart_values))
 
@@ -59,7 +64,7 @@ def test_best_value_is_minimum_of_restarts():
 def test_argmin_reevaluates_to_best_value():
     rng = np.random.default_rng(1)
     h = helpers.random_hermitian(rng, 9)
-    res = min_generic_quadratic(h, QUICK)
+    res = min_generic_quadratic(_op(h), QUICK)
     assert abs(_product_value(h, res.argmin) - res.best_value) < 1e-10
 
 
@@ -67,7 +72,7 @@ def test_argmin_reevaluation_with_conjugate_term():
     rng = np.random.default_rng(2)
     h1 = helpers.random_hermitian(rng, 9)
     h2 = helpers.random_hermitian(rng, 9)
-    res = min_generic_quadratic(_plus_conjugate_term(h1, h2), QUICK)
+    res = min_generic_quadratic(_op(_plus_conjugate_term(h1, h2)), QUICK)
     pv = res.argmin
     direct = np.real(np.vdot(pv.tensor(), h1 @ pv.tensor()))
     partner = pv.conjugate_partner()
@@ -128,11 +133,11 @@ def test_monotone_half_steps_schmidt2():
 def test_deterministic_results_byte_identical():
     rng = np.random.default_rng(5)
     h = helpers.random_hermitian(rng, 9)
-    first = min_generic_quadratic(h, QUICK)
-    second = min_generic_quadratic(h, QUICK)
+    first = min_generic_quadratic(_op(h), QUICK)
+    second = min_generic_quadratic(_op(h), QUICK)
     assert pickle.dumps(first) == pickle.dumps(second)
-    s_first = min_schmidt2_expectation(h, QUICK)
-    s_second = min_schmidt2_expectation(h, QUICK)
+    s_first = min_schmidt2_expectation(_op(h), QUICK)
+    s_second = min_schmidt2_expectation(_op(h), QUICK)
     assert pickle.dumps(s_first) == pickle.dumps(s_second)
 
 
@@ -141,13 +146,13 @@ def test_brute_force_oracle_agreement_2x2():
     cfg = SeeSawConfig(restarts=50, max_iter=300, seed=1)
     for trial in range(6):
         h = helpers.random_hermitian(rng, 4)
-        res = min_generic_quadratic(h, cfg)
+        res = min_generic_quadratic(BipartiteOperator(h, 2, 2), cfg)
         oracle = helpers.brute_force_product_min_2x2(h)
         assert abs(res.best_value - oracle) < 1e-4, f"trial {trial}"
 
 
 def test_schmidt2_identity_is_one():
-    res = min_schmidt2_expectation(np.eye(9), QUICK)
+    res = min_schmidt2_expectation(_op(np.eye(9)), QUICK)
     assert abs(res.best_value - 1.0) < 1e-12
 
 
@@ -155,13 +160,13 @@ def test_schmidt2_reaches_rank_two_ground_state():
     bell = np.zeros(9, dtype=complex)
     bell[0] = bell[4] = 1.0 / np.sqrt(2)
     h = np.eye(9) - 2.0 * np.outer(bell, bell.conj())
-    res = min_schmidt2_expectation(h, QUICK)
+    res = min_schmidt2_expectation(_op(h), QUICK)
     assert abs(res.best_value + 1.0) < 1e-9
 
 
 def test_schmidt2_feasibility():
     h = helpers.random_hermitian(np.random.default_rng(6), 9)
-    res = min_schmidt2_expectation(h, QUICK)
+    res = min_schmidt2_expectation(_op(h), QUICK)
     vec = res.argmin.vector
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
     coeffs = schmidt_coefficients(vec, 3, 3)
@@ -171,7 +176,7 @@ def test_schmidt2_feasibility():
 
 
 def test_restart_metadata_shapes():
-    res = min_generic_quadratic(np.eye(9), SeeSawConfig(restarts=7, max_iter=50, seed=2))
+    res = min_generic_quadratic(_op(np.eye(9)), SeeSawConfig(restarts=7, max_iter=50, seed=2))
     assert len(res.restart_values) == 7
     assert len(res.iterations_used) == 7
     assert len(res.converged) == 7
@@ -202,16 +207,16 @@ def test_config_rejects_bad_seed_and_counts(field, value):
 
 def test_config_accepts_numpy_integers():
     cfg = SeeSawConfig(restarts=np.int64(3), max_iter=np.int32(5), seed=np.uint8(0))
-    assert len(min_generic_quadratic(np.eye(9), cfg).restart_values) == 3
+    assert len(min_generic_quadratic(_op(np.eye(9)), cfg).restart_values) == 3
 
 
 def test_rejects_non_hermitian():
     bad = np.zeros((9, 9))
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
-        min_generic_quadratic(bad, QUICK)
+        min_generic_quadratic(_op(bad), QUICK)
     with pytest.raises(ValueError):
-        min_schmidt2_expectation(bad, QUICK)
+        min_schmidt2_expectation(_op(bad), QUICK)
 
 
 def test_dims_inference_and_validation():
@@ -219,29 +224,23 @@ def test_dims_inference_and_validation():
     res = min_generic_quadratic(op, SeeSawConfig(restarts=4, max_iter=30, seed=3))
     assert abs(res.best_value - 1.0) < 1e-12
     assert res.argmin.a.size == 2 and res.argmin.b.size == 3
-    with pytest.raises(ValueError):
-        min_generic_quadratic(np.eye(6), QUICK)  # 6 is not a perfect square, so it needs a BipartiteOperator
-    with pytest.raises(ValueError):
-        min_generic_quadratic(np.eye(9)[:3], QUICK)
-    with pytest.raises(ValueError):
-        min_schmidt2_expectation(np.eye(6), QUICK)
-    # a plain 4x4 or 16x16 matrix splits as 2x2 or 4x4, which the Schmidt-rank-2 search does not cover
-    for d in (4, 16):
+    # the Schmidt-rank-2 search covers the 3x3 split only
+    for dims in ((2, 3), (2, 2), (4, 4)):
         with pytest.raises(NotApplicableError):
-            min_schmidt2_expectation(np.eye(d), QUICK)
+            min_schmidt2_expectation(BipartiteOperator(np.eye(dims[0] * dims[1]), *dims), QUICK)
 
 
 def _argmin_bits(argmin) -> tuple[bytes, ...]:
     return tuple(np.asarray(x).tobytes() for x in vars(argmin).values())
 
 
-def _catalog_edge_operator(name: str) -> np.ndarray:
+def _catalog_edge_operator(name: str) -> BipartiteOperator:
     from pptedge import catalog, linalg
 
     entry = catalog.get(name)
     eye = np.eye(9)
     p_range, p_pt = (linalg.span_projector(basis) for basis in (entry.range_basis, entry.pt_range_basis))
-    return _plus_conjugate_term(eye - p_range, eye - p_pt)
+    return _op(_plus_conjugate_term(eye - p_range, eye - p_pt))
 
 
 def _max_entangled_projector() -> np.ndarray:
@@ -255,9 +254,9 @@ def _max_entangled_projector() -> np.ndarray:
 _DEGENERATE = {"product": helpers.swap_operator(3), "schmidt2": _max_entangled_projector()}
 _BATCH_OBJECTIVES = {
     "product": lambda cfg: min_generic_quadratic(_catalog_edge_operator("rho_5_5"), cfg),
-    "schmidt2": lambda cfg: min_schmidt2_expectation(helpers.random_hermitian(np.random.default_rng(8), 9), cfg),
-    "product_degenerate": lambda cfg: min_generic_quadratic(_DEGENERATE["product"], cfg),
-    "schmidt2_degenerate": lambda cfg: min_schmidt2_expectation(_DEGENERATE["schmidt2"], cfg),
+    "schmidt2": lambda cfg: min_schmidt2_expectation(_op(helpers.random_hermitian(np.random.default_rng(8), 9)), cfg),
+    "product_degenerate": lambda cfg: min_generic_quadratic(_op(_DEGENERATE["product"]), cfg),
+    "schmidt2_degenerate": lambda cfg: min_schmidt2_expectation(_op(_DEGENERATE["schmidt2"]), cfg),
 }
 _BATCH_REFERENCE: dict[str, OptResult] = {}
 
@@ -296,7 +295,7 @@ def test_degenerate_objectives_have_degenerate_half_steps(objective):
 @pytest.mark.parametrize("minimizer", [min_generic_quadratic, min_schmidt2_expectation], ids=["product", "schmidt2"])
 @pytest.mark.parametrize("objective", ["identity", "swap"])
 def test_repeated_runs_byte_identical_on_degenerate_objectives(objective, minimizer):
-    h = np.eye(9) if objective == "identity" else helpers.swap_operator(3)
+    h = _op(np.eye(9) if objective == "identity" else helpers.swap_operator(3))
     cfg = SeeSawConfig(seed=42)
     assert pickle.dumps(minimizer(h, cfg)) == pickle.dumps(minimizer(h, cfg))
 
@@ -321,7 +320,7 @@ def _hits(values: np.ndarray, conv_tol: float) -> int:
 _STOP_RULE_OPERATORS = {
     "edge_5_5": lambda: _catalog_edge_operator("rho_5_5"),
     "edge_6_6": lambda: _catalog_edge_operator("rho_6_6"),
-    **{f"random_{k}": (lambda k=k: helpers.random_hermitian(np.random.default_rng(100 + k), 9)) for k in range(3)},
+    **{f"random_{k}": (lambda k=k: _op(helpers.random_hermitian(np.random.default_rng(100 + k), 9))) for k in range(3)},
 }
 _MINIMIZERS = {"product": min_generic_quadratic, "schmidt2": min_schmidt2_expectation}
 
@@ -402,7 +401,7 @@ def test_schmidt2_product_ground_state_with_rank_deficient_factors():
     ket = np.zeros(9)
     ket[0] = 1.0
     h = np.eye(9) - 2.0 * np.outer(ket, ket)
-    res = min_schmidt2_expectation(h, SeeSawConfig(seed=42))
+    res = min_schmidt2_expectation(_op(h), SeeSawConfig(seed=42))
     assert abs(res.best_value + 1.0) < 1e-12
     assert np.diff(half_step_values(h, 2, SeeSawConfig(restarts=25, seed=42)), axis=0).max() <= 1e-14
     vec = res.argmin.vector

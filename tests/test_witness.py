@@ -22,22 +22,22 @@ from pptedge.witness import (
 
 @pytest.fixture(scope="module")
 def w1_55(rho55, fast_cfg):
-    return kernel_witness(certify_edge(rho55, fast_cfg))
+    return kernel_witness(certify_edge(rho55.state, fast_cfg))
 
 
 @pytest.fixture(scope="module")
 def w1_66(rho66, fast_cfg):
-    return kernel_witness(certify_edge(rho66, fast_cfg))
+    return kernel_witness(certify_edge(rho66.state, fast_cfg))
 
 
 @pytest.fixture(scope="module")
 def w2_55(rho55):
-    return realignment_witness(rho55)
+    return realignment_witness(rho55.state)
 
 
 @pytest.fixture(scope="module")
 def w2_66(rho66):
-    return realignment_witness(rho66)
+    return realignment_witness(rho66.state)
 
 
 def test_kernel_witness_normalizations(w1_55, w1_66):
@@ -48,7 +48,7 @@ def test_kernel_witness_normalizations(w1_55, w1_66):
 def test_kernel_witness_pre_shift_properties(rho55, w1_55):
     pre = BipartiteOperator(w1_55.operator.matrix + w1_55.epsilon * np.eye(9), 3, 3)
     assert abs(np.trace(pre.matrix).real - 1.0) < 1e-12
-    assert abs(evaluate(pre, rho55)) < 1e-10
+    assert abs(evaluate(pre, rho55.state)) < 1e-10
     assert pre.is_hermitian()
 
 
@@ -56,7 +56,7 @@ def test_kernel_witness_detects_source(rho55, rho66, w1_55, w1_66):
     for entry, w, pinned in ((rho55, w1_55, EPS_5_5), (rho66, w1_66, EPS_6_6)):
         assert w.epsilon > 0.0
         assert abs(w.epsilon - pinned) < 1e-6 * pinned
-        assert abs(evaluate(w, entry) + w.epsilon) < 1e-10
+        assert abs(evaluate(w, entry.state) + w.epsilon) < 1e-10
 
 
 def test_kernel_witness_nonnegative_on_products(w1_55, w1_66, fast_cfg):
@@ -67,7 +67,7 @@ def test_kernel_witness_nonnegative_on_products(w1_55, w1_66, fast_cfg):
 
 def test_kernel_witness_requires_rank_deficiency(fast_cfg):
     with pytest.raises(NotApplicableError):
-        kernel_witness(certify_edge(catalog.get("max_mixed"), fast_cfg))
+        kernel_witness(certify_edge(catalog.get("max_mixed").state, fast_cfg))
 
 
 def test_kernel_witness_requires_an_edge_verdict(rho55, fast_cfg):
@@ -77,25 +77,24 @@ def test_kernel_witness_requires_an_edge_verdict(rho55, fast_cfg):
     assert separable.verdict == "not edge" and separable.operator is not None
     with pytest.raises(NotApplicableError, match="'not edge'"):
         kernel_witness(separable)
-    edge = certify_edge(rho55, fast_cfg)
+    edge = certify_edge(rho55.state, fast_cfg)
     with pytest.raises(NotApplicableError, match="'inconclusive'"):
         kernel_witness(dataclasses.replace(edge, verdict="inconclusive"))
 
 
 def test_kernel_witness_is_normalized_edge_operator(rho55, fast_cfg):
-    cert = certify_edge(rho55, fast_cfg)
+    cert = certify_edge(rho55.state, fast_cfg)
     w = kernel_witness(cert)
     # the certificate carries the operator its see-saw minimized, built from the spectral projectors
-    assert cert.operator.matrix.tobytes() == edge_operator(*range_projectors(rho55), (3, 3)).matrix.tobytes()
+    assert cert.operator.matrix.tobytes() == edge_operator(*range_projectors(rho55.state), (3, 3)).matrix.tobytes()
     expected = w.normalization * cert.operator.matrix
     assert w.operator.matrix.tobytes() == (expected - w.epsilon * np.eye(9, dtype=complex)).tobytes()
     assert w.epsilon == w.normalization * cert.minimum
-    assert w.source == cert.state == "rho_5_5"
 
 
 def test_kernel_witness_epsilon_seed_stability(rho55):
     values = [
-        kernel_witness(certify_edge(rho55, SeeSawConfig(restarts=60, max_iter=400, seed=s))).epsilon
+        kernel_witness(certify_edge(rho55.state, SeeSawConfig(restarts=60, max_iter=400, seed=s))).epsilon
         for s in (1, 2, 3, 4, 5)
     ]
     med = float(np.median(values))
@@ -107,7 +106,7 @@ def test_kernel_witness_epsilon_seed_stability(rho55):
 def test_realignment_witness_detection_identity(rho55, rho66, w2_55, w2_66):
     # both sides computed independently: witness pairing vs dilation eigenvalues
     for entry, w, pinned in ((rho55, w2_55, TRACE_NORM_5_5), (rho66, w2_66, TRACE_NORM_6_6)):
-        value = evaluate(w, entry)
+        value = evaluate(w, entry.state)
         oracle = 1.0 - helpers.dilation_trace_norm(realign(entry.state))
         assert abs(value - oracle) < 1e-9
         assert abs(value - (1.0 - pinned)) < 1e-9
@@ -137,7 +136,7 @@ def test_realignment_witness_nonnegative_on_products(w2_55, w2_66, fast_cfg):
 
 def test_realignment_witness_requires_violation():
     with pytest.raises(NotApplicableError):
-        realignment_witness(catalog.get("max_mixed"))
+        realignment_witness(catalog.get("max_mixed").state)
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +207,8 @@ def test_realignment_witness_is_built_exactly_when_the_criterion_is_violated(rho
 
 
 def test_shift_witness_algebra(rho55, w1_55):
-    shifted = shift_witness(w1_55, rho55, 1e-3)
-    assert abs(evaluate(shifted, rho55) + 1e-3) < 1e-12
+    shifted = shift_witness(w1_55, rho55.state, 1e-3)
+    assert abs(evaluate(shifted, rho55.state) + 1e-3) < 1e-12
     assert shifted.method == "shifted"
     assert shifted.base_method == "kernel"
     assert shifted.eps_shift == 1e-3
@@ -220,39 +219,39 @@ def test_shift_witness_algebra(rho55, w1_55):
 
 def test_shift_witness_rejects_nonpositive_eps(rho55, w1_55):
     with pytest.raises(ValueError):
-        shift_witness(w1_55, rho55, 0.0)
+        shift_witness(w1_55, rho55.state, 0.0)
     with pytest.raises(ValueError):
-        shift_witness(w1_55, rho55, -1e-3)
+        shift_witness(w1_55, rho55.state, -1e-3)
 
 
 def test_schmidt2_evidence_negative_for_all_witnesses(rho55, rho66, w1_55, w1_66, w2_55, w2_66, fast_cfg):
     for entry, w in ((rho55, w1_55), (rho66, w1_66), (rho55, w2_55), (rho66, w2_66)):
         res = schmidt2_evidence(w, fast_cfg)
         assert res.best_value < 0.0, (entry.name, w.method)
-        shifted = shift_witness(w, entry, 1e-6)
+        shifted = shift_witness(w, entry.state, 1e-6)
         res_shifted = schmidt2_evidence(shifted, fast_cfg)
         assert res_shifted.best_value < 0.0, (entry.name, "shifted " + w.method)
 
 
 def test_schmidt2_evidence_identity_sanity(fast_cfg):
-    eye_witness = Witness(operator=BipartiteOperator(np.eye(9), 3, 3), method="kernel", source="identity")
+    eye_witness = Witness(operator=BipartiteOperator(np.eye(9), 3, 3), method="kernel")
     res = schmidt2_evidence(eye_witness, fast_cfg)
     assert abs(res.best_value - 1.0) < 1e-12
 
 
 def test_evaluate_contracts(rho55):
-    assert abs(evaluate(np.eye(9), rho55) - 1.0) < 1e-12
+    assert abs(evaluate(BipartiteOperator(np.eye(9), 3, 3), rho55.state) - 1.0) < 1e-12
     with pytest.raises(ValueError):
-        evaluate(np.eye(4), rho55)
+        evaluate(BipartiteOperator(np.eye(4), 2, 2), rho55.state)
     skew = np.zeros((9, 9), dtype=complex)
     skew[1, 2] = 1.0j  # placed on a nonzero entry of the state
     with pytest.raises(ValueError):
-        evaluate(skew, rho55)
+        evaluate(BipartiteOperator(skew, 3, 3), rho55.state)
 
 
 def test_witness_metadata_payload(w1_55):
     meta = w1_55.metadata()
     assert meta["method"] == "kernel"
-    assert meta["source"] == "rho_5_5"
+    assert "source" not in meta  # only the command line names a state
     assert meta["normalization"] == 0.125
     assert meta["epsilon"] == w1_55.epsilon
