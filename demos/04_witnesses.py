@@ -21,10 +21,10 @@ from pptedge import (
     evaluate,
     kernel_witness,
     min_generic_quadratic,
+    min_schmidt2_expectation,
     realignment_witness,
     rho_5_5,
     rho_6_6,
-    schmidt2_evidence,
     schmidt_coefficients,
     shift_witness,
 )
@@ -38,12 +38,12 @@ for entry in (rho_5_5(), rho_6_6()):
     w2 = realignment_witness(rho)
     print(f"{entry.name}: kernel witness N = {w1.normalization:.6f}, eps = {w1.epsilon:.6e}")
     for w in (w1, w2):
-        detection = evaluate(w, rho)
+        detection = evaluate(w.operator, rho)
         floor = min_generic_quadratic(w.operator, cfg).best_value
-        s2 = schmidt2_evidence(w, cfg)
+        s2 = min_schmidt2_expectation(w.operator, cfg)
         coeffs = schmidt_coefficients(s2.argmin.vector, 3, 3)
-        shifted = shift_witness(w, rho, 1e-6)
-        s2_shifted = schmidt2_evidence(shifted, cfg)
+        shifted = shift_witness(w.operator, rho, 1e-6)
+        s2_shifted = min_schmidt2_expectation(shifted, cfg)
         print(f"  method {w.method:<8} Tr(W rho) = {detection:+.6e}   product floor = {floor:+.1e}")
         print(
             f"    Schmidt-rank-2 minimum {s2.best_value:+.6f} "

@@ -45,7 +45,7 @@ from .optimize import (
     min_schmidt2_expectation,
 )
 from .serialize import read_matrix_file, write_matrix_file
-from .witness import Witness, evaluate, kernel_witness, realignment_witness, schmidt2_evidence, shift_witness
+from .witness import Witness, evaluate, kernel_witness, realignment_witness, shift_witness
 
 __all__ = [
     "BipartiteOperator",
@@ -80,7 +80,6 @@ __all__ = [
     "residual_norm",
     "rho_5_5",
     "rho_6_6",
-    "schmidt2_evidence",
     "schmidt_coefficients",
     "shift_witness",
     "span_projector",

@@ -89,7 +89,8 @@ def validate_density(op: BipartiteOperator, psd_tol: float = 1e-12) -> None:
         raise InvalidStateError("density matrix must be Hermitian within 1e-12") from None
     tr = op.trace
     if abs(tr - 1.0) > 1e-12:
-        raise InvalidStateError(f"density matrix must have unit trace, got {tr:.15g}")
+        shown = tr.real if tr.imag == 0.0 else tr
+        raise InvalidStateError(f"density matrix must have unit trace, got {shown:.15g}")
     if lo < -psd_tol:
         raise InvalidStateError(f"density matrix has negative eigenvalue {lo:.3e}")
 

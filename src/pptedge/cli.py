@@ -7,7 +7,10 @@ identical flags produce byte-identical output.
 The library takes every state as a ``BipartiteOperator`` and names none;
 this front end names each state by its input, the catalog name or the file
 path as given, in the report's ``state``, the edge block's ``state`` and
-each witness's ``source``.
+each witness's ``source``. The library returns plain records, and every
+report block is built here from their fields: the PPT and realignment
+blocks, the edge block, the witness metadata (with the ``--shift`` fields)
+and the Schmidt-rank-2 search.
 
 Exit codes: 0 success, 2 parse failure, 3 invalid state, 4 method not
 applicable, 5 internal numerical failure.
@@ -16,6 +19,7 @@ applicable, 5 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -162,12 +166,40 @@ def _rank_block(op: BipartiteOperator, entry: catalog.CatalogEntry | None, args:
     return block
 
 
+def _edge_block(cert: criteria.EdgeCertificate) -> dict:
+    """The edge certificate's fields; the see-saw statistics, over the restarts that ran, only when a see-saw ran."""
+    block = {
+        "verdict": cert.verdict,
+        "minimum": cert.minimum,
+        "residual_range": cert.residual_range,
+        "residual_pt_range": cert.residual_pt_range,
+    }
+    if cert.opt is not None:
+        values = cert.opt.restart_values
+        block.update(
+            restarts_run=len(values),
+            restart_min=float(np.min(values)),
+            restart_median=float(np.median(values)),
+            restart_max=float(np.max(values)),
+            iterations_max=int(np.max(cert.opt.iterations_used)),
+            all_converged=bool(np.all(cert.opt.converged)),
+        )
+    return block
+
+
+def _witness_metadata(w: witness_mod.Witness, value: float, args: argparse.Namespace) -> dict:
+    """How ``w`` was built, its source and ``value`` = Tr(W rho): the witness fields of ``analyze`` and ``witness``."""
+    meta = {"method": w.method, "source": args.input, "trace_with_state": value}
+    if w.epsilon is not None:
+        meta["epsilon"] = w.epsilon
+    if w.normalization is not None:
+        meta["normalization"] = w.normalization
+    return meta
+
+
 def _witness_summary(w: witness_mod.Witness, op: BipartiteOperator, args: argparse.Namespace) -> dict:
-    evidence = witness_mod.schmidt2_evidence(w, _config(args))
-    summary = w.metadata()
-    summary["source"] = args.input
-    summary["trace_with_state"] = witness_mod.evaluate(w, op)
-    summary["schmidt2_best_value"] = evidence.best_value
+    summary = _witness_metadata(w, witness_mod.evaluate(w.operator, op), args)
+    summary["schmidt2_best_value"] = min_schmidt2_expectation(w.operator, _config(args)).best_value
     return summary
 
 
@@ -180,8 +212,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "tolerances": _tolerances(args),
         "ranks": _rank_block(op, entry, args),
-        "ppt": ppt.to_dict(),
-        "realignment": criteria.realignment_criterion(op).to_dict(),
+        "ppt": dataclasses.asdict(ppt),
+        "realignment": dataclasses.asdict(criteria.realignment_criterion(op)),
     }
     if ppt.verdict != "pass":
         reason = "state is not PPT; edge certification and witness constructions apply to PPT states"
@@ -191,7 +223,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     edge = criteria.certify_edge(op, _config(args), rel_tol=args.tol_eig, ppt_tol=args.tol_pos)
-    report["edge"] = {"state": args.input, **edge.to_dict()}
+    report["edge"] = {"state": args.input, **_edge_block(edge)}
     summaries = {}
     try:
         w1 = witness_mod.kernel_witness(edge)
@@ -221,13 +253,14 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         w = witness_mod.kernel_witness(edge)
     else:
         w = witness_mod.realignment_witness(op)
+    operator = w.operator
     if args.shift is not None:
-        w = witness_mod.shift_witness(w, op, args.shift)
-    value = witness_mod.evaluate(w, op)
-    meta = w.metadata()
-    meta["source"] = args.input
-    meta["trace_with_state"] = value
-    _emit(args, dumps_canonical(matrix_payload(w.operator, meta)))
+        operator = witness_mod.shift_witness(operator, op, args.shift)
+    value = witness_mod.evaluate(operator, op)
+    meta = _witness_metadata(w, value, args)
+    if args.shift is not None:
+        meta.update(method="shifted", base_method=w.method, eps_shift=args.shift)
+    _emit(args, dumps_canonical(matrix_payload(operator, meta)))
     # the value goes beside the payload: to stdout when the payload went to a file
     (sys.stdout if args.out else sys.stderr).write(f"Tr(W rho) = {value:.12e}\n")
     return EXIT_OK
@@ -236,7 +269,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_certify_edge(args: argparse.Namespace) -> int:
     op, _ = _load_state(args.input, args.tol_pos)
     cert = criteria.certify_edge(op, _config(args), rel_tol=args.tol_eig, ppt_tol=args.tol_pos)
-    payload = cert.to_dict()
+    payload = _edge_block(cert)
     payload["state"] = args.input
     payload["seed"] = args.seed
     payload["tolerances"] = _tolerances(args)
@@ -251,10 +284,15 @@ def _cmd_certify_edge(args: argparse.Namespace) -> int:
 def _cmd_schmidt2(args: argparse.Namespace) -> int:
     op = _load_hermitian(args.witness_file)
     result = min_schmidt2_expectation(op, _config(args))
-    vec = result.argmin.vector
-    payload = result.to_dict()
-    payload["seed"] = args.seed
-    payload["schmidt_coefficients"] = [float(x) for x in schmidt_coefficients(vec, op.dim_a, op.dim_b)]
+    payload = {
+        "best_value": result.best_value,
+        "best_index": result.best_index,
+        "restart_values": result.restart_values.tolist(),
+        "iterations_used": result.iterations_used.tolist(),
+        "converged": result.converged.tolist(),
+        "seed": args.seed,
+        "schmidt_coefficients": schmidt_coefficients(result.argmin.vector, op.dim_a, op.dim_b).tolist(),
+    }
     _emit(args, dumps_canonical(payload))
     return EXIT_OK
 

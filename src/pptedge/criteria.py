@@ -24,7 +24,8 @@ a state is left to the caller.
 carries the verdict and the edge operator it minimized to every later
 consumer, such as :func:`~pptedge.witness.kernel_witness`. The realignment
 decision reads the cached ``op.realigned_trace_norm``, and so does its
-witness.
+witness. :class:`CriterionReport` and :class:`EdgeCertificate` are plain
+records; the report blocks built from them are the command line's.
 """
 
 from __future__ import annotations
@@ -62,14 +63,6 @@ class CriterionReport:
     evidence: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "verdict": self.verdict,
-            "evidence": self.evidence,
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass(frozen=True)
 class EdgeCertificate:
@@ -84,7 +77,8 @@ class EdgeCertificate:
     at the first basis product vector, and no restart ran. The
     verdict carries an explicit inconclusive band between the zero threshold
     and the positive threshold so a near-zero heuristic minimum is never
-    promoted to an edge claim.
+    promoted to an edge claim. It is a plain record: the command line
+    writes its report block, with the see-saw statistics of ``opt``.
     """
 
     verdict: str
@@ -94,25 +88,6 @@ class EdgeCertificate:
     residual_pt_range: float
     opt: OptResult | None
     operator: BipartiteOperator | None
-
-    def to_dict(self) -> dict:
-        """Report block; the see-saw statistics, over the restarts that ran, appear only when a see-saw ran."""
-        out = {
-            "verdict": self.verdict,
-            "minimum": self.minimum,
-            "residual_range": self.residual_range,
-            "residual_pt_range": self.residual_pt_range,
-        }
-        if self.opt is not None:
-            out.update(
-                restarts_run=len(self.opt.restart_values),
-                restart_min=float(np.min(self.opt.restart_values)),
-                restart_median=float(np.median(self.opt.restart_values)),
-                restart_max=float(np.max(self.opt.restart_values)),
-                iterations_max=int(np.max(self.opt.iterations_used)),
-                all_converged=bool(np.all(self.opt.converged)),
-            )
-        return out
 
 
 def range_projectors(op: BipartiteOperator, rel_tol: float = linalg.DEFAULT_RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:

@@ -94,7 +94,8 @@ class OptResult:
     ``restart_values``, ``iterations_used`` and ``converged`` cover the
     restarts that ran, in index order. ``best_value`` is the minimum of
     ``restart_values``; ``best_index`` the first restart attaining it;
-    ``argmin`` re-evaluates to ``best_value``.
+    ``argmin`` re-evaluates to ``best_value``. It is a plain record; the
+    command line writes the report of a Schmidt-rank-2 search from it.
     """
 
     best_value: float
@@ -103,15 +104,6 @@ class OptResult:
     iterations_used: np.ndarray
     converged: np.ndarray
     best_index: int
-
-    def to_dict(self) -> dict:
-        return {
-            "best_value": self.best_value,
-            "best_index": self.best_index,
-            "restart_values": [float(x) for x in self.restart_values],
-            "iterations_used": [int(x) for x in self.iterations_used],
-            "converged": [bool(x) for x in self.converged],
-        }
 
 
 def _objective(op: BipartiteOperator) -> tuple[np.ndarray, tuple[int, int]]:

@@ -28,68 +28,59 @@ U V^dagger has operator norm one.
 
 Shifted variants subtract (Tr(W rho) + eps) * identity, leaving a witness
 that detects rho by exactly -eps; with small eps these barely-detecting
-witnesses are the sharpest probes for negativity on low Schmidt rank states.
+witnesses are the sharpest probes for negativity on low Schmidt rank states,
+which :func:`~pptedge.optimize.min_schmidt2_expectation` searches.
+
+Both constructions return a :class:`Witness`, a plain record of the operator
+and how it was built. The operations on a witness, :func:`evaluate` and
+:func:`shift_witness`, take its ``BipartiteOperator``, and the report
+fields a witness appears under are written by the command line alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bipartite import BipartiteOperator, realign
 from .criteria import EdgeCertificate, realignment_criterion
 from .exceptions import NotApplicableError
-from .optimize import OptResult, SeeSawConfig, min_schmidt2_expectation
 
 __all__ = [
     "Witness",
     "evaluate",
     "kernel_witness",
     "realignment_witness",
-    "schmidt2_evidence",
     "shift_witness",
 ]
 
 
 @dataclass(frozen=True)
 class Witness:
-    """Hermitian witness operator plus construction metadata.
+    """Output record of a witness construction: the Hermitian operator and how it was built.
 
     ``epsilon`` is the heuristic product-state infimum used in the kernel
     construction, N times the minimum of the edge certificate it comes from;
-    ``normalization`` is the trace normalization N. Shifted witnesses keep
-    their ancestor's metadata and record ``eps_shift``. A witness does not
-    name its source state; the caller that holds the name reports it.
+    ``normalization`` is the trace normalization N. Both are ``None`` for
+    the realignment construction. A witness does not name its source state,
+    and it writes no report: operations on it, such as :func:`evaluate` and
+    :func:`shift_witness`, take ``w.operator``.
     """
 
     operator: BipartiteOperator
     method: str
     epsilon: float | None = None
     normalization: float | None = None
-    eps_shift: float | None = None
-    base_method: str | None = None
-
-    def metadata(self) -> dict:
-        meta: dict = {"method": self.method}
-        if self.epsilon is not None:
-            meta["epsilon"] = self.epsilon
-        if self.normalization is not None:
-            meta["normalization"] = self.normalization
-        if self.eps_shift is not None:
-            meta["eps_shift"] = self.eps_shift
-        if self.base_method is not None:
-            meta["base_method"] = self.base_method
-        return meta
 
 
-def evaluate(w: Witness | BipartiteOperator, state: BipartiteOperator) -> float:
+def evaluate(w: BipartiteOperator, state: BipartiteOperator) -> float:
     """Real part of Tr(W^dagger rho); the imaginary part must be negligible.
 
     For Hermitian W and rho the trace is real up to roundoff; a genuinely
     complex value signals a non-Hermitian operand and raises.
     """
-    wm = (w.operator if isinstance(w, Witness) else w).matrix
+    wm = w.matrix
     rho = state.matrix
     if wm.shape != rho.shape:
         raise ValueError(f"dimension mismatch: witness {wm.shape} vs state {rho.shape}")
@@ -152,28 +143,10 @@ def realignment_witness(op: BipartiteOperator) -> Witness:
     return Witness(operator=BipartiteOperator(herm, op.dim_a, op.dim_b), method="realign")
 
 
-def shift_witness(w: Witness, state: BipartiteOperator, eps_shift: float = 1e-6) -> Witness:
-    """Subtract (Tr(W rho) + eps_shift) * identity, so the shifted witness detects rho by exactly -eps_shift."""
+def shift_witness(w: BipartiteOperator, state: BipartiteOperator, eps_shift: float = 1e-6) -> BipartiteOperator:
+    """W - (Tr(W rho) + eps_shift) * identity: the shifted operator, which detects rho by exactly -eps_shift."""
     if not eps_shift > 0.0:
         raise ValueError("eps_shift must be > 0")
-    op = w.operator
     value = evaluate(w, state)
-    shifted = op.matrix - (value + eps_shift) * np.eye(op.dim, dtype=complex)
-    return replace(
-        w,
-        operator=BipartiteOperator(shifted, op.dim_a, op.dim_b),
-        method="shifted",
-        base_method=w.method if w.base_method is None else w.base_method,
-        eps_shift=eps_shift,
-    )
-
-
-def schmidt2_evidence(w: Witness | BipartiteOperator, cfg: SeeSawConfig = SeeSawConfig()) -> OptResult:
-    """Minimize the witness over Schmidt-rank-2 states.
-
-    A negative best value exhibits a Schmidt-rank-2 state the witness
-    detects, the evidence relevant for low Schmidt number of the source
-    state. The operator keeps its tensor split, so a witness outside 3x3
-    raises :class:`NotApplicableError`.
-    """
-    return min_schmidt2_expectation(w.operator if isinstance(w, Witness) else w, cfg)
+    shifted = w.matrix - (value + eps_shift) * np.eye(w.dim, dtype=complex)
+    return BipartiteOperator(shifted, w.dim_a, w.dim_b)

@@ -24,8 +24,8 @@ from conftest import (
 from pptedge import catalog, linalg
 from pptedge.bipartite import BipartiteOperator, partial_transpose, realign, schmidt_coefficients
 from pptedge.criteria import certify_edge
-from pptedge.optimize import SeeSawConfig, min_generic_quadratic
-from pptedge.witness import evaluate, kernel_witness, realignment_witness, schmidt2_evidence, shift_witness
+from pptedge.optimize import SeeSawConfig, min_generic_quadratic, min_schmidt2_expectation
+from pptedge.witness import evaluate, kernel_witness, realignment_witness, shift_witness
 from test_optimize import half_step_values
 
 DEFAULT = SeeSawConfig()
@@ -144,7 +144,7 @@ def test_criterion_07_kernel_witness(entries, kernel_witnesses):
     for entry, w, expected_norm in zip(entries, kernel_witnesses, (1.0 / 8.0, 1.0 / 6.0)):
         ok &= w.normalization == expected_norm
         ok &= w.epsilon > 0.0
-        ok &= abs(evaluate(w, entry.state) + w.epsilon) < 1e-10
+        ok &= abs(evaluate(w.operator, entry.state) + w.epsilon) < 1e-10
         floor = min_generic_quadratic(w.operator, DEFAULT)
         ok &= floor.best_value >= -1e-7
         details.append(f"{entry.name}: eps {w.epsilon:.3e}")
@@ -154,7 +154,7 @@ def test_criterion_07_kernel_witness(entries, kernel_witnesses):
 def test_criterion_08_realignment_witness(entries, realignment_witnesses):
     ok = True
     for entry, w, pinned in zip(entries, realignment_witnesses, (TRACE_NORM_5_5, TRACE_NORM_6_6)):
-        value = evaluate(w, entry.state)
+        value = evaluate(w.operator, entry.state)
         ok &= abs(value - (1.0 - pinned)) < 1e-9
         floor = min_generic_quadratic(w.operator, DEFAULT)
         ok &= floor.best_value >= -1e-7
@@ -167,12 +167,12 @@ def test_criterion_09_schmidt_rank2_evidence(entries, kernel_witnesses, realignm
     details = []
     witnesses = list(zip(entries, kernel_witnesses)) + list(zip(entries, realignment_witnesses))
     for entry, w in witnesses:
-        for variant in (w, shift_witness(w, entry.state, 1e-6)):
-            res = schmidt2_evidence(variant, DEFAULT)
+        for variant in (w.operator, shift_witness(w.operator, entry.state, 1e-6)):
+            res = min_schmidt2_expectation(variant, DEFAULT)
             coeffs = schmidt_coefficients(res.argmin.vector, 3, 3)
             ok &= res.best_value < 0.0
             ok &= coeffs[2] < 1e-8 * coeffs[0]
-            if variant is w:
+            if variant is w.operator:
                 details.append(f"{entry.name}/{w.method}: {res.best_value:.3e}")
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0

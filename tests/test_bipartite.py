@@ -131,6 +131,16 @@ def test_validate_density(rho55):
         validate_density(BipartiteOperator(np.diag([1.5, -0.5] + [0.0] * 7), 3, 3))
 
 
+def test_unit_trace_message_prints_a_real_trace_as_real():
+    with pytest.raises(InvalidStateError, match=r"^density matrix must have unit trace, got 9$"):
+        validate_density(BipartiteOperator(np.eye(9, dtype=complex), 3, 3))
+    # Hermitian within 1e-12, so the trace check is reached with an imaginary part
+    tilted = np.eye(9, dtype=complex) / 9
+    tilted[0, 0] += 0.5 + 5e-13j
+    with pytest.raises(InvalidStateError, match=r"^density matrix must have unit trace, got 1\.5\+5e-13j$"):
+        validate_density(BipartiteOperator(tilted, 3, 3))
+
+
 def test_product_vector_normalization_and_phase():
     p = ProductVector(np.array([0.0, 2j, 0.0]), np.array([3.0, 4.0, 0.0]))
     assert abs(np.linalg.norm(p.a) - 1.0) < 1e-12

@@ -556,7 +556,7 @@ def test_analyze_separable_reports_ranks_at_tol_eig_and_skips_kernel_witness(
     "name,message",
     [
         ("non_hermitian", "density matrix must be Hermitian within 1e-12"),
-        ("trace_two", "density matrix must have unit trace, got 2+0j"),
+        ("trace_two", "density matrix must have unit trace, got 2"),
         ("non_psd", "density matrix has negative eigenvalue -1.000e-01"),
     ],
 )

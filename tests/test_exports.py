@@ -1,6 +1,7 @@
-"""Every exported name resolves, so a deleted function cannot linger in an ``__all__``."""
+"""Every exported name resolves, so a deleted function cannot linger in an ``__all__``; only the CLI formats reports."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -32,3 +33,10 @@ def test_every_name_in_all_resolves(module):
         except AttributeError:
             missing.append(name)
     assert missing == []
+
+
+@pytest.mark.parametrize("module", [m for m in SUBMODULES if m.__name__ != "pptedge.cli"], ids=lambda m: m.__name__)
+def test_library_classes_write_no_report(module):
+    # library results are plain records: the report blocks built from them are the command line's
+    classes = [c for _, c in inspect.getmembers(module, inspect.isclass) if c.__module__ == module.__name__]
+    assert [c.__name__ for c in classes if hasattr(c, "to_dict") or hasattr(c, "metadata")] == []

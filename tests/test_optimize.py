@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import numpy as np
@@ -182,7 +183,7 @@ def test_restart_metadata_shapes():
     assert len(res.converged) == 7
     assert res.converged.all()
     assert isinstance(res, OptResult)
-    payload = res.to_dict()
+    payload = json.loads(json.dumps({"best_value": res.best_value, "restart_values": res.restart_values.tolist()}))
     assert payload["best_value"] == res.best_value
 
 

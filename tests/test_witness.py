@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 
 import numpy as np
@@ -5,17 +6,16 @@ import pytest
 
 import helpers
 from conftest import EPS_5_5, EPS_6_6, TRACE_NORM_5_5, TRACE_NORM_6_6
-from pptedge import catalog
+from pptedge import catalog, cli
 from pptedge.criteria import certify_edge, edge_operator, range_projectors, realignment_criterion
 from pptedge.bipartite import BipartiteOperator, realign
 from pptedge.exceptions import NotApplicableError
-from pptedge.optimize import SeeSawConfig, min_generic_quadratic
+from pptedge.optimize import SeeSawConfig, min_generic_quadratic, min_schmidt2_expectation
 from pptedge.witness import (
     Witness,
     evaluate,
     kernel_witness,
     realignment_witness,
-    schmidt2_evidence,
     shift_witness,
 )
 
@@ -56,7 +56,7 @@ def test_kernel_witness_detects_source(rho55, rho66, w1_55, w1_66):
     for entry, w, pinned in ((rho55, w1_55, EPS_5_5), (rho66, w1_66, EPS_6_6)):
         assert w.epsilon > 0.0
         assert abs(w.epsilon - pinned) < 1e-6 * pinned
-        assert abs(evaluate(w, entry.state) + w.epsilon) < 1e-10
+        assert abs(evaluate(w.operator, entry.state) + w.epsilon) < 1e-10
 
 
 def test_kernel_witness_nonnegative_on_products(w1_55, w1_66, fast_cfg):
@@ -106,7 +106,7 @@ def test_kernel_witness_epsilon_seed_stability(rho55):
 def test_realignment_witness_detection_identity(rho55, rho66, w2_55, w2_66):
     # both sides computed independently: witness pairing vs dilation eigenvalues
     for entry, w, pinned in ((rho55, w2_55, TRACE_NORM_5_5), (rho66, w2_66, TRACE_NORM_6_6)):
-        value = evaluate(w, entry.state)
+        value = evaluate(w.operator, entry.state)
         oracle = 1.0 - helpers.dilation_trace_norm(realign(entry.state))
         assert abs(value - oracle) < 1e-9
         assert abs(value - (1.0 - pinned)) < 1e-9
@@ -207,35 +207,28 @@ def test_realignment_witness_is_built_exactly_when_the_criterion_is_violated(rho
 
 
 def test_shift_witness_algebra(rho55, w1_55):
-    shifted = shift_witness(w1_55, rho55.state, 1e-3)
+    shifted = shift_witness(w1_55.operator, rho55.state, 1e-3)
     assert abs(evaluate(shifted, rho55.state) + 1e-3) < 1e-12
-    assert shifted.method == "shifted"
-    assert shifted.base_method == "kernel"
-    assert shifted.eps_shift == 1e-3
-    meta = shifted.metadata()
-    assert meta["base_method"] == "kernel"
-    assert meta["eps_shift"] == 1e-3
 
 
 def test_shift_witness_rejects_nonpositive_eps(rho55, w1_55):
     with pytest.raises(ValueError):
-        shift_witness(w1_55, rho55.state, 0.0)
+        shift_witness(w1_55.operator, rho55.state, 0.0)
     with pytest.raises(ValueError):
-        shift_witness(w1_55, rho55.state, -1e-3)
+        shift_witness(w1_55.operator, rho55.state, -1e-3)
 
 
 def test_schmidt2_evidence_negative_for_all_witnesses(rho55, rho66, w1_55, w1_66, w2_55, w2_66, fast_cfg):
     for entry, w in ((rho55, w1_55), (rho66, w1_66), (rho55, w2_55), (rho66, w2_66)):
-        res = schmidt2_evidence(w, fast_cfg)
+        res = min_schmidt2_expectation(w.operator, fast_cfg)
         assert res.best_value < 0.0, (entry.name, w.method)
-        shifted = shift_witness(w, entry.state, 1e-6)
-        res_shifted = schmidt2_evidence(shifted, fast_cfg)
+        shifted = shift_witness(w.operator, entry.state, 1e-6)
+        res_shifted = min_schmidt2_expectation(shifted, fast_cfg)
         assert res_shifted.best_value < 0.0, (entry.name, "shifted " + w.method)
 
 
 def test_schmidt2_evidence_identity_sanity(fast_cfg):
-    eye_witness = Witness(operator=BipartiteOperator(np.eye(9), 3, 3), method="kernel")
-    res = schmidt2_evidence(eye_witness, fast_cfg)
+    res = min_schmidt2_expectation(BipartiteOperator(np.eye(9), 3, 3), fast_cfg)
     assert abs(res.best_value - 1.0) < 1e-12
 
 
@@ -249,9 +242,13 @@ def test_evaluate_contracts(rho55):
         evaluate(BipartiteOperator(skew, 3, 3), rho55.state)
 
 
-def test_witness_metadata_payload(w1_55):
-    meta = w1_55.metadata()
+def test_witness_metadata_payload(rho55, w1_55):
+    # the witness is a plain record; the command line writes its metadata and names its source
+    assert "source" not in {f.name for f in dataclasses.fields(Witness)}
+    value = evaluate(w1_55.operator, rho55.state)
+    meta = cli._witness_metadata(w1_55, value, argparse.Namespace(input="rho_5_5"))
     assert meta["method"] == "kernel"
-    assert "source" not in meta  # only the command line names a state
+    assert meta["source"] == "rho_5_5"
+    assert meta["trace_with_state"] == value
     assert meta["normalization"] == 0.125
     assert meta["epsilon"] == w1_55.epsilon
