@@ -5,28 +5,46 @@ bipartite space, over unit product vectors or over states of Schmidt rank
 at most 2, and share one multistart loop that alternates between the two
 factors of the ansatz. Each half-step fixes one factor and minimizes the
 quadratic objective exactly over the other, which reduces to the minimal
-eigenvector of a small effective Hermitian operator. The objective value
-therefore never increases from one half-step to the next, and every restart
-converges to a stationary point. An objective that also involves the
-conjugate partner a (x) conj(b) is one such H, built by partial transposition
-(see :func:`~pptedge.criteria.edge_operator`).
+eigenvector of a small effective Hermitian operator. An objective that also
+involves the conjugate partner a (x) conj(b) is one such H, built by partial
+transposition (see :func:`~pptedge.criteria.edge_operator`).
+
+Plain alternation converges linearly and often slowly, so from its second
+sweep on a restart starts each sweep from an extrapolated factor, with a
+safeguard (the enhanced line search of alternating least squares; Rajih,
+Comon & Harshman, SIAM J. Matrix Anal. Appl. 30, 2008). Let d be the
+direction of the factor the first half-step keeps fixed: the factor itself
+for rank 1, and for rank 2 the unit normal of its column span in C^3. The
+first half-step keeps fixed the factor whose direction is
+d + beta (d - phase d_prev), normalized, where d_prev is the direction one
+sweep earlier and the phase aligns it with d; beta is 1 for rank 1 and 1/2
+for rank 2. Where that half-step ends above the restart's last value, it is
+redone from the plain factor. Each half-step's value is therefore no higher
+than the restart's value after the previous sweep, and a restart's values
+never increase from one sweep to the next. A factor with no direction (a
+rank-deficient rank-2 factor) is not extrapolated. A plain sweep is one
+whose first half-step kept the plain factor fixed; a restart is converged
+when a plain sweep lowers its value by less than ``conv_tol``, so it stops
+only where the plain alternation has stalled to that tolerance.
 
 Determinism contract: restart ``r`` draws its starting point from its own
 generator, ``np.random.default_rng([seed, r])``, so different seeds draw
 different starts, and restarts never interact. Every array operation acts on
-each restart at a fixed shape, and ``np.linalg.eigh`` and ``np.linalg.qr``
-each solve every matrix of a stack on its own, so restart ``r`` gives
-bit-identical results in a batch of any size; a converged restart simply
-leaves the batch. No phase convention is applied per half-step, only to the
-reported ``ProductVector``. How many restarts run is decided in index order:
-they run in rounds of 25, and the run stops after the first round in which at
-least 3 restarts lie within ``max(1e-9 * |best|, conv_tol)`` of the best
-value so far, or at the ``restarts`` cap. The restarts that run under a
-smaller cap are therefore a prefix of those that run under a larger one, and
-the merge of restart results is a plain minimum with a first-index tie-break.
-Running the same inputs twice gives identical results. The reported best
-value is a heuristic upper bound on the true infimum: multistart see-saw
-carries no global optimality certificate.
+each restart at a fixed shape (inner products are one matrix product per
+restart), the safeguard's redo solves a sub-batch, and ``np.linalg.eigh``
+and ``np.linalg.qr`` each solve every matrix of a stack on its own, so
+restart ``r`` gives bit-identical results in a batch of any size; a
+converged restart simply leaves the batch. No phase convention is applied
+per half-step, only to the reported ``ProductVector``. How many restarts
+run is decided in index order: they run in rounds of 25, and the run stops
+after the first round in which at least 3 restarts lie within
+``max(1e-9 * |best|, conv_tol)`` of the best value so far, or at the
+``restarts`` cap. The restarts that run under a smaller cap are therefore a
+prefix of those that run under a larger one, and the merge of restart
+results is a plain minimum with a first-index tie-break. Running the same
+inputs twice gives identical results. The reported best value is a heuristic
+upper bound on the true infimum: multistart see-saw carries no global
+optimality certificate.
 """
 
 from __future__ import annotations
@@ -55,9 +73,11 @@ class SeeSawConfig:
 
     ``restarts`` caps the number of restarts; fewer run when the best basin
     is reached early (see the module docstring). ``conv_tol`` is the absolute
-    objective decrease over one full sweep below which a restart counts as
-    converged, and also the floor of the tolerance within which restarts
-    count as reaching the best value. ``seed`` is a nonnegative integer.
+    objective decrease over one plain sweep (one that starts from the
+    unextrapolated factor) below which a restart counts as converged; an
+    extrapolated sweep that lowers the value by less makes the next sweep
+    plain. It is also the floor of the tolerance within which restarts count
+    as reaching the best value. ``seed`` is a nonnegative integer.
     """
 
     restarts: int = 200
@@ -163,6 +183,51 @@ def _half_step(h: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
 _ROUND = 25
 _HITS = 3
 _BASIN_RTOL = 1e-9
+# Extrapolation step per factor rank, and the norm below which a factor's
+# direction counts as zero (a rank-deficient rank-2 factor has no normal).
+_BETA = {1: 1.0, 2: 0.5}
+_FLAT = 1e-8
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
+
+
+def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise <u|v> of two (n, dim) stacks, one matrix product per row."""
+    return (u.conj()[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _direction(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit direction a (n, dim, rank) factor stands for, and where it is one.
+
+    A rank-1 factor is its own direction. A rank-2 factor on C^3 stands for
+    its column span, whose unit normal is the conjugate cross product of its
+    columns. A direction shorter than ``_FLAT`` is returned unnormalized and
+    flagged.
+    """
+    if factor.shape[2] == 1:
+        d = factor[:, :, 0]
+    else:
+        # np.cross, written out: its axis handling costs more than the arithmetic at this size
+        u, v = factor[:, :, 0], factor[:, :, 1]
+        d = (u[:, _NEXT] * v[:, _LAST] - u[:, _LAST] * v[:, _NEXT]).conj()
+    norm = np.sqrt(_inner(d, d).real)
+    ok = norm > _FLAT
+    return d / np.where(ok, norm, 1.0)[:, None], ok
+
+
+def _extrapolated(factor: np.ndarray, d: np.ndarray, prev: np.ndarray, beta: float) -> np.ndarray:
+    """The factor whose direction is d + beta (d - phase prev), normalized, with prev phase-aligned to d.
+
+    For rank 1 that is the factor itself; for rank 2 the current factor is
+    projected off the new normal, and the half-step's QR orthonormalizes it.
+    With unit d and prev, Re <d|candidate> >= 1 before normalization, so it
+    never divides by a small norm.
+    """
+    overlap = _inner(prev, d)
+    c = d + beta * (d - np.exp(1j * np.angle(overlap))[:, None] * prev)
+    c = c / np.sqrt(_inner(c, c).real)[:, None]
+    if factor.shape[2] == 1:
+        return c[:, :, None]
+    return factor - c[:, :, None] @ (c.conj()[:, None, :] @ factor)
 
 
 def _see_saw(
@@ -171,29 +236,45 @@ def _see_saw(
     free: np.ndarray,
     half_steps: tuple[Callable, Callable],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alternate the two half-steps on every restart of one round until its sweep stops improving.
+    """Alternate the two half-steps on every restart of one round until a plain sweep stops improving.
 
     ``fixed`` holds the starting factors the first half-step keeps fixed,
     ``free`` the factors it replaces; the second half-step swaps the roles,
-    and both arrays end holding each restart's final pair. A restart leaves
-    the batch once one full sweep lowers its value by less than
-    ``conv_tol``. Returns the values, sweep counts and convergence flags.
+    and both arrays end holding each restart's final pair. Each sweep starts
+    from an extrapolated factor with a safeguard (see the module docstring).
+    A restart leaves the batch once a plain sweep lowers its value by less
+    than ``conv_tol``; an extrapolated sweep that does so makes the next
+    sweep plain. Returns the values, sweep counts and convergence flags.
     """
-    n = fixed.shape[0]
+    n, dim, rank = fixed.shape
     values = np.full(n, np.inf)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
+    prev = np.zeros((n, dim), dtype=complex)
+    extrapolate = np.zeros(n, dtype=bool)
     active = np.arange(n)
     for _ in range(cfg.max_iter):
         if active.size == 0:
             break
-        _, x, y = half_steps[0](fixed[active])
-        w_fixed, y, x = half_steps[1](y)
+        plain, last = fixed[active], values[active]
+        d, ok = _direction(plain)
+        ex = extrapolate[active] & ok
+        start = plain.copy()
+        start[ex] = _extrapolated(plain[ex], d[ex], prev[active[ex]], _BETA[rank])
+        w, _, y = half_steps[0](start)
+        back = np.flatnonzero(ex & (w > last))
+        if back.size:
+            y[back] = half_steps[0](plain[back])[2]
+            ex[back] = False
+        w, y, x = half_steps[1](y)
         fixed[active], free[active] = x, y
-        done = np.abs(values[active] - w_fixed) < cfg.conv_tol
-        values[active] = w_fixed
+        small = np.abs(last - w) < cfg.conv_tol
+        done = small & ~ex
+        values[active] = w
         iterations[active] += 1
         converged[active[done]] = True
+        prev[active] = d
+        extrapolate[active] = ~small & ok
         active = active[~done]
     return values, iterations, converged
 
