@@ -4,8 +4,9 @@ kernel construction   W1 = N (P + Q^T_B) - eps * I, with P, Q the kernel
                       projectors of the state and its partial transpose,
                       N = 1/Tr(P + Q^T_B), and eps the product infimum of
                       the unshifted operator.
-realignment           W2 = Hermitian part of (I - R(U V^dag)), built from
-                      the singular vectors of the realigned state; then
+realignment           W2 = I - R(U_r V_r^dag), with U_r V_r^dag the partial
+                      isometry of R(rho) = U D V^dag on its nonzero singular
+                      values; it is unique, so W2 is a function of rho, and
                       Tr(W2 rho) = 1 - trace norm of R(rho) < 0.
 
 Both witnesses are nonnegative on every product state (checked here

@@ -35,7 +35,6 @@ from .linalg import (
     exact_rank,
     residual_norm,
     span_projector,
-    trace_norm,
 )
 from .optimize import (
     OptResult,
@@ -83,7 +82,6 @@ __all__ = [
     "schmidt_coefficients",
     "shift_witness",
     "span_projector",
-    "trace_norm",
     "validate_density",
     "write_matrix_file",
 ]

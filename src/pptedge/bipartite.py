@@ -70,9 +70,12 @@ class BipartiteOperator:
         return BipartiteOperator(transpose_b(self.matrix, self.dim_a, self.dim_b), self.dim_a, self.dim_b)
 
     @cached_property
-    def realigned_trace_norm(self) -> float:
-        """Trace norm of :func:`realign` of the matrix, computed on first use; the realignment decision reads it."""
-        return linalg.trace_norm(realign(self))
+    def realigned_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one SVD ``(u, s, vh)`` of :func:`realign` of the matrix, made on first use and read-only; the realignment criterion and its witness read it."""
+        svd = np.linalg.svd(realign(self))
+        for part in svd:
+            part.setflags(write=False)
+        return svd
 
 
 def validate_density(op: BipartiteOperator, psd_tol: float = 1e-12) -> None:

@@ -23,7 +23,7 @@ a state is left to the caller.
 :func:`certify_edge` makes both decisions, and its :class:`EdgeCertificate`
 carries the verdict and the edge operator it minimized to every later
 consumer, such as :func:`~pptedge.witness.kernel_witness`. The realignment
-decision reads the cached ``op.realigned_trace_norm``, and so does its
+decision reads the cached SVD ``op.realigned_svd``, and so does its
 witness. :class:`CriterionReport` and :class:`EdgeCertificate` are plain
 records; the report blocks built from them are the command line's.
 """
@@ -70,15 +70,17 @@ class EdgeCertificate:
 
     ``minimum`` is the smallest edge objective found over the restarts that
     ran (see the stop rule in :mod:`~pptedge.optimize`); it equals
-    ``residual_range**2 + residual_pt_range**2`` at ``argmin``.
+    ``residual_range**2 + residual_pt_range**2`` at ``argmin``. The see-saw
+    fixes the residuals and ``argmin`` far less tightly than ``minimum``: the
+    objective can be flat at its minimum, and a real state's is unchanged by
+    complex conjugation, so compare only ``minimum`` across versions or frames.
     ``operator`` is the :func:`edge_operator` the see-saw minimized, and
     ``opt`` is that see-saw run. Both are ``None`` when both ranges are the
     whole space, where the verdict is "not edge" exactly, the minimum is 0.0
-    at the first basis product vector, and no restart ran. The
-    verdict carries an explicit inconclusive band between the zero threshold
-    and the positive threshold so a near-zero heuristic minimum is never
-    promoted to an edge claim. It is a plain record: the command line
-    writes its report block, with the see-saw statistics of ``opt``.
+    at the first basis product vector, and no restart ran. An inconclusive
+    band between the zero and positive thresholds keeps a near-zero
+    heuristic minimum from becoming an edge claim. The command line writes
+    this plain record's report block, with the see-saw statistics of ``opt``.
     """
 
     verdict: str
@@ -107,8 +109,8 @@ def is_ppt(op: BipartiteOperator, tol: float = 1e-12) -> CriterionReport:
 
 
 def realignment_criterion(op: BipartiteOperator) -> CriterionReport:
-    """Realignment test: entanglement is flagged when the realigned trace norm, cached on the operator, exceeds one."""
-    evidence = op.realigned_trace_norm
+    """Realignment test: entanglement is flagged when the realigned trace norm, summed from the cached SVD, exceeds one."""
+    evidence = float(op.realigned_svd[1].sum())
     verdict = "violated" if evidence > 1.0 + REALIGNMENT_SLACK else "pass"
     return CriterionReport("realignment", verdict, evidence, REALIGNMENT_SLACK)
 

@@ -2,13 +2,13 @@
 
 All numeric routines work on plain ``complex128`` numpy arrays at the scale
 used in this package (at most a few dozen rows). The package's one phase
-convention is :func:`phase_fix`; :func:`trace_norm` is its one trace norm.
+convention is :func:`phase_fix`.
 
-Numeric rank has one rule, kept in :class:`Spectrum`, the one
-eigendecomposition that every rank, positivity and range decision reads: an
-eigenvalue counts when its modulus exceeds ``rel_tol`` times the largest
-modulus, for any Hermitian matrix, definite or not. Positivity is decided
-by the callers' own tolerances, not here.
+Numeric rank has one rule, :func:`rank_mask`: a value counts when its
+modulus exceeds ``rel_tol`` times the largest. :class:`Spectrum`, the one
+eigendecomposition that every rank, positivity and range decision reads,
+applies it to eigenvalues, definite or not, and the realignment witness to
+singular values. Positivity is decided by the callers' tolerances, not here.
 
 The exact path, :func:`exact_rank`, performs fraction-free Bareiss
 elimination over Python integers and never rounds.
@@ -33,9 +33,9 @@ __all__ = [
     "exact_rank",
     "is_hermitian",
     "phase_fix",
+    "rank_mask",
     "residual_norm",
     "span_projector",
-    "trace_norm",
 ]
 
 
@@ -89,9 +89,10 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(_as_matrix(m), compute_uv=False).sum())
+def rank_mask(values: np.ndarray, rel_tol: float) -> np.ndarray:
+    """The one rank rule: which values count, ``|x| > rel_tol * max|x|``; none for all-zero ``values``."""
+    mag = np.abs(values)
+    return mag > rel_tol * mag.max(initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -114,18 +115,13 @@ class Spectrum:
         v.setflags(write=False)
         return cls(w, v)
 
-    def _counted(self, rel_tol: float) -> np.ndarray:
-        """Eigenvalues that count toward the rank: ``|w| > rel_tol * max|w|``; none for the zero matrix."""
-        mag = np.abs(self.values)
-        return mag > rel_tol * mag.max(initial=0.0)
-
     def rank(self, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
         """Eigenvalues whose modulus exceeds ``rel_tol`` times the largest: diag(1, -1) has rank 2, zero has 0."""
-        return int(np.sum(self._counted(rel_tol)))
+        return int(np.sum(rank_mask(self.values, rel_tol)))
 
     def range_projector(self, rel_tol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
         """Hermitian idempotent projector onto the range: the eigenvectors that :meth:`rank` counts."""
-        keep = self.vectors[:, self._counted(rel_tol)]
+        keep = self.vectors[:, rank_mask(self.values, rel_tol)]
         p = keep @ keep.conj().T
         return (p + p.conj().T) / 2
 

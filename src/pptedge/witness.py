@@ -20,11 +20,16 @@ certificate minimized, so the PPT gate, the rank decisions and the operator
 are the certificate's, made once.
 
 The realignment witness is built exactly when the realignment criterion
-says "violated": with R(rho) = U D V^dagger, the Hermitian part of
-(identity - R(U V^dagger)) has expectation 1 - sum(singular values) < 0 on
-rho while staying nonnegative on every product state, since R maps product
-projectors to rank-one matrices of unit Frobenius norm and the aligner
-U V^dagger has operator norm one.
+says "violated". From the SVD R(rho) = U D V^dagger cached on the operator
+it takes the partial isometry U_r V_r^dagger on the singular values that the
+one rank rule counts; W2 = I - R(U_r V_r^dagger) has expectation
+1 - sum(singular values) < 0 on rho, yet is nonnegative on every product
+state: R maps product projectors to rank-one matrices of unit Frobenius
+norm, and the aligner has operator norm one. Unlike U V^dagger, which pairs
+the null spaces of R(rho) as the SVD happens to, the partial isometry is
+unique, so W2 is a function of rho. It also inherits R(rho) = S conj(R(rho)) S
+(S swaps both row and both column indices; rho is Hermitian), which makes W2
+Hermitian up to roundoff.
 
 Shifted variants subtract (Tr(W rho) + eps) * identity, leaving a witness
 that detects rho by exactly -eps; with small eps these barely-detecting
@@ -43,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .bipartite import BipartiteOperator, realign
 from .criteria import EdgeCertificate, realignment_criterion
 from .exceptions import NotApplicableError
@@ -120,26 +126,21 @@ def kernel_witness(edge: EdgeCertificate) -> Witness:
 
 
 def realignment_witness(op: BipartiteOperator) -> Witness:
-    """Witness W2 = I - R(U V^dagger), Hermitized, from the SVD R(rho) = U D V^dagger of the realigned state.
+    """Witness W2 = I - R(U_r V_r^dagger) from the cached SVD R(rho) = U D V^dagger of the realigned state.
 
     Built exactly when :func:`~pptedge.criteria.realignment_criterion` says
     "violated", and then Tr(W2 rho) = 1 - trace norm < 0; otherwise raises
-    :class:`NotApplicableError` with the criterion's evidence. The SVD needs
-    no convention: W2 depends on it only through the polar factor U V^dagger,
-    which a common phase or a common rotation inside a group of equal
-    singular values leaves unchanged, and inside the null space of R(rho)
-    any pairing of U and V gives a unitary aligner, of operator norm one,
-    which is all the witness argument uses.
+    :class:`NotApplicableError` with the criterion's evidence. U_r and V_r are
+    the singular vectors counted at ``DEFAULT_RANK_RTOL`` (see the module docstring).
     """
     report = realignment_criterion(op)
     if report.verdict != "violated":
         raise NotApplicableError(f"realignment witness requires trace norm > 1, got {report.evidence:.12g}")
-    # rearranging (left factors) @ (right factors)^dagger makes the pairing
-    # with the state collapse onto the singular values
-    u, _, vh = np.linalg.svd(realign(op))
-    aligner = u @ vh
+    u, s, vh = op.realigned_svd
+    keep = linalg.rank_mask(s, linalg.DEFAULT_RANK_RTOL)
+    aligner = u[:, keep] @ vh[keep]
     raw = np.eye(op.dim, dtype=complex) - realign(BipartiteOperator(aligner, op.dim_a, op.dim_b))
-    herm = (raw + raw.conj().T) / 2
+    herm = (raw + raw.conj().T) / 2  # removes roundoff only: raw is Hermitian up to it
     return Witness(operator=BipartiteOperator(herm, op.dim_a, op.dim_b), method="realign")
 
 

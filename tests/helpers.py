@@ -59,6 +59,23 @@ def gauss_rank(rows) -> int:
     return rank
 
 
+def exact_row_space_projector(rows) -> np.ndarray:
+    """Orthogonal projector B^T (B B^T)^-1 B onto the span of real integer rows B, as an object array of Fractions.
+
+    Gauss-Jordan elimination on [B B^T | B] needs no pivoting, since the Gram
+    matrix of independent rows is positive definite.
+    """
+    b = np.array([[Fraction(x) for x in row] for row in np.asarray(rows).tolist()], dtype=object)
+    k = b.shape[0]
+    work = np.concatenate([b @ b.T, b], axis=1)
+    for c in range(k):
+        work[c] = work[c] / work[c, c]
+        for i in range(k):
+            if i != c:
+                work[i] = work[i] - work[i, c] * work[c]
+    return b.T @ work[:, k:]
+
+
 def brute_force_product_min_2x2(h: np.ndarray, n_incl: int = 400, n_phase: int = 800) -> float:
     """Product-state minimum of a Hermitian 4x4 operator by exhaustive scan.
 

@@ -23,7 +23,7 @@ from conftest import (
 )
 from pptedge import catalog, linalg
 from pptedge.bipartite import BipartiteOperator, partial_transpose, realign, schmidt_coefficients
-from pptedge.criteria import certify_edge
+from pptedge.criteria import certify_edge, realignment_criterion
 from pptedge.optimize import SeeSawConfig, min_generic_quadratic, min_schmidt2_expectation
 from pptedge.witness import evaluate, kernel_witness, realignment_witness, shift_witness
 from test_optimize import half_step_values
@@ -91,7 +91,7 @@ def test_criterion_04_realignment_violation(entries):
     start = time.perf_counter()
     ok = True
     for entry, pinned in zip(entries, (TRACE_NORM_5_5, TRACE_NORM_6_6)):
-        value = linalg.trace_norm(realign(entry.state))
+        value = realignment_criterion(entry.state).evidence
         oracle = helpers.dilation_trace_norm(realign(entry.state))
         ok &= value > 1.0 + 1e-6
         ok &= abs(value - pinned) < 1e-9

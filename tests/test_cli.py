@@ -485,9 +485,13 @@ def test_utf8_file_reads_under_an_ascii_locale(tmp_path):
     assert json.loads(done.stdout)["verdict"] == "not edge"
 
 
-def test_analyze_full_rank_ppt_file_makes_one_svd(tmp_path, monkeypatch, capsys):
-    # the reported realignment verdict is the witness's gate: one values-only SVD decides both
-    path = _state_file(tmp_path, "full_rank_ppt", 0.9 * catalog.rho_5_5().state.matrix + 0.1 * np.eye(9) / 9)
+@pytest.mark.parametrize(
+    "name, noise, verdict", [("full_rank_ppt", 0.1, "pass"), ("rho_5_5", 0.0, "violated")], ids=["full_rank_ppt", "rho_5_5"]
+)
+def test_analyze_file_makes_one_svd(tmp_path, monkeypatch, capsys, name, noise, verdict):
+    # the reported realignment verdict is the witness's gate, and W2 is built from the same cached SVD of R(rho)
+    matrix = (1.0 - noise) * catalog.rho_5_5().state.matrix + noise * np.eye(9) / 9
+    path = _state_file(tmp_path, name, matrix)
     calls = []
     original = np.linalg.svd
 
@@ -497,8 +501,11 @@ def test_analyze_full_rank_ppt_file_makes_one_svd(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     report = _run_json(capsys, ["analyze", path, *FAST])
-    assert report["realignment"]["verdict"] == "pass"
-    assert report["witnesses"]["realign"]["skipped"].startswith("realignment witness requires trace norm > 1")
+    assert report["realignment"]["verdict"] == verdict
+    if verdict == "pass":
+        assert report["witnesses"]["realign"]["skipped"].startswith("realignment witness requires trace norm > 1")
+    else:
+        assert report["witnesses"]["realign"]["trace_with_state"] < 0.0
     assert calls == [(9, 9)]
 
 

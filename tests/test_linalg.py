@@ -68,26 +68,11 @@ def test_hermitian_eig_rejects_bad_input():
         linalg.Spectrum.of(np.array([[0.0, 1.0], [0.0, 0.0]])).range_projector()
 
 
-def test_trace_norm_zero_matrix():
-    assert linalg.trace_norm(np.zeros((4, 4))) == 0.0
-
-
-def test_trace_norm_rank_one_outer_product():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    # the one nonzero singular value of |a><b| is 1, so the others add no more than roundoff
-    assert abs(linalg.trace_norm(np.outer(a, b.conj())) - 1.0) < 1e-12
-
-
-def test_trace_norm_matches_abs_eigenvalues_on_hermitian():
-    rng = np.random.default_rng(23)
-    m = helpers.random_hermitian(rng, 8)
-    from_svd = linalg.trace_norm(m)
-    from_eig = float(np.abs(_eig(m)[0]).sum())
-    assert abs(from_svd - from_eig) < 1e-10
+def test_rank_mask_counts_moduli_strictly_above_the_relative_threshold():
+    # the one rank rule, read by Spectrum for eigenvalues and by the realignment witness for singular values
+    values = np.array([-2.0, 1.0, 2e-9, -2e-9 * (1 + 1e-12), 0.0])
+    assert linalg.rank_mask(values, 1e-9).tolist() == [True, True, False, True, False]
+    assert not linalg.rank_mask(np.zeros(3), 1e-9).any()
 
 
 def test_numeric_rank_catalog(rho55, rho66):

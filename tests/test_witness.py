@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import helpers
 from conftest import EPS_5_5, EPS_6_6, TRACE_NORM_5_5, TRACE_NORM_6_6
 from pptedge import catalog, cli
 from pptedge.criteria import certify_edge, edge_operator, range_projectors, realignment_criterion
-from pptedge.bipartite import BipartiteOperator, realign
+from pptedge.bipartite import BipartiteOperator, realign, transpose_b
 from pptedge.exceptions import NotApplicableError
 from pptedge.optimize import SeeSawConfig, min_generic_quadratic, min_schmidt2_expectation
 from pptedge.witness import (
@@ -57,6 +58,22 @@ def test_kernel_witness_detects_source(rho55, rho66, w1_55, w1_66):
         assert w.epsilon > 0.0
         assert abs(w.epsilon - pinned) < 1e-6 * pinned
         assert abs(evaluate(w.operator, entry.state) + w.epsilon) < 1e-10
+
+
+def test_kernel_witness_detection_identity_holds_exactly(rho55, rho66, w1_55, w1_66):
+    # P and Q from the stored integer range bases are rational, and Tr(W1 rho) = -eps then holds in Fractions
+    eye = np.array([[Fraction(int(i == j)) for j in range(9)] for i in range(9)], dtype=object)
+    for entry, w in ((rho55, w1_55), (rho66, w1_66)):
+        p = helpers.exact_row_space_projector(entry.range_basis)
+        q = helpers.exact_row_space_projector(entry.pt_range_basis)
+        edge = (eye - p) + transpose_b(eye - q, 3, 3)
+        norm = 1 / np.trace(edge)
+        eps = Fraction(w.epsilon)
+        exact_w1 = norm * edge - eps * eye
+        rho = np.array([[Fraction(x, entry.denominator) for x in row] for row in entry.exact.tolist()], dtype=object)
+        assert np.trace(exact_w1 @ rho) == -eps
+        assert float(norm) == w.normalization
+        assert np.abs(exact_w1.astype(float) - w.operator.matrix).max() < 1e-12
 
 
 def test_kernel_witness_nonnegative_on_products(w1_55, w1_66, fast_cfg):
@@ -118,16 +135,6 @@ def test_realignment_witness_is_hermitian(w2_55, w2_66):
         assert w.operator.is_hermitian()
 
 
-def test_realignment_witness_hermitization_preserves_evaluation(rho55):
-    u, _, vh = np.linalg.svd(realign(rho55.state))
-    aligner = u @ vh
-    raw = np.eye(9, dtype=complex) - realign(BipartiteOperator(aligner, 3, 3))
-    herm = (raw + raw.conj().T) / 2
-    raw_value = float(np.real(np.trace(raw.conj().T @ rho55.state.matrix)))
-    herm_value = float(np.real(np.trace(herm.conj().T @ rho55.state.matrix)))
-    assert abs(raw_value - herm_value) < 1e-12
-
-
 def test_realignment_witness_nonnegative_on_products(w2_55, w2_66, fast_cfg):
     for w in (w2_55, w2_66):
         floor = min_generic_quadratic(w.operator, fast_cfg)
@@ -162,6 +169,25 @@ def _realigned_complement_norm(w: np.ndarray) -> float:
     nonnegative on every product state without any optimizer.
     """
     return helpers.dilation_operator_norm(realign(BipartiteOperator(np.eye(9) - w, 3, 3)))
+
+
+def _raw_witness(aligner: np.ndarray) -> np.ndarray:
+    return np.eye(9, dtype=complex) - realign(BipartiteOperator(aligner, 3, 3))
+
+
+def test_realignment_witness_is_hermitian_before_symmetrization(realignment_detected):
+    # R(rho) = S conj(R(rho)) S for Hermitian rho (S swaps both row and both column indices), and the
+    # unique partial isometry U_r V_r^dagger inherits it, so I - R(U_r V_r^dagger) is Hermitian as built
+    for op in realignment_detected:
+        u, s, vh = op.realigned_svd
+        keep = s > 1e-9 * s[0]
+        raw = _raw_witness(u[:, keep] @ vh[keep])
+        assert np.abs(raw - raw.conj().T).max() < 1e-13
+        assert np.abs(realignment_witness(op).operator.matrix - raw).max() < 1e-13
+    # the full unitary U V^dagger pairs the two null vectors of R(rho_5_5) as the SVD happens to
+    u, _, vh = realignment_detected[0].realigned_svd
+    raw = _raw_witness(u @ vh)
+    assert np.abs(raw - raw.conj().T).max() > 0.1
 
 
 def test_realignment_witness_satisfies_the_product_bound_exactly(realignment_detected):
