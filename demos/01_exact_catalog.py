@@ -4,11 +4,14 @@ The two flagship states live on C^3 (x) C^3 and are stored as integer
 matrices over the common denominator 13. That makes two things exact that
 are usually only numerical: the rank computation (fraction-free elimination
 over the integers) and the partial transpose (a pure index permutation).
+A state's partial transpose is ``state.pt``, built once on first use and
+cached, like every spectrum read from it; the catalog entries themselves are
+built once per process and shared by every accessor.
 """
 
 import numpy as np
 
-from pptedge import exact_rank, partial_transpose, rho_5_5, rho_6_6
+from pptedge import exact_rank, rho_5_5, rho_6_6
 
 np.set_printoptions(linewidth=140, suppress=True)
 
@@ -21,7 +24,7 @@ for entry in (rho_5_5(), rho_6_6()):
     print(f"exact rank            : {exact_rank(entry.exact)}")
     print(f"exact rank of PT      : {exact_rank(entry.exact_pt)}")
     print(f"numeric rank          : {entry.state.spectrum.rank()}")
-    pt = partial_transpose(entry.state)
+    pt = entry.state.pt
     print(f"numeric rank of PT    : {pt.spectrum.rank()}")
 
     # The partial transpose of integer entries is again integer, bit-exact.

@@ -5,6 +5,9 @@ conjugate partner (conjugate the second factor) in the range of the partial
 transpose. The catalog carries explicit product-vector families that exhaust
 the range of rho_5_5; every member is in range, but its partner always
 misses the transposed range, which is the edge property made quantitative.
+The range projectors are the ones certification reads: each comes from the
+state's cached spectrum (or its partial transpose's), at the default rank
+threshold.
 
 The certification minimizes
 
@@ -15,13 +18,13 @@ minimum (heuristic, no global certificate) is the edge evidence; for a
 separable state the objective reaches zero at one of its product components.
 """
 
-from pptedge import SeeSawConfig, certify_edge, range_families, residual_norm, rho_5_5, rho_6_6, span_projector
+from pptedge import SeeSawConfig, certify_edge, range_families, residual_norm, rho_5_5, rho_6_6
 from pptedge.catalog import get
 
 cfg = SeeSawConfig(restarts=80, seed=42)
 
 r55 = rho_5_5()
-p_range, p_pt_range = span_projector(r55.range_basis), span_projector(r55.pt_range_basis)
+p_range, p_pt_range = r55.state.spectrum.range_projector(), r55.state.pt.spectrum.range_projector()
 print("product-vector families inside range(rho_5_5):")
 for family in range_families("rho_5_5"):
     pv = family.samples(1, seed=2)[0]

@@ -15,7 +15,6 @@ from .bipartite import (
     BipartiteOperator,
     InvalidStateError,
     ProductVector,
-    partial_transpose,
     realign,
     schmidt_coefficients,
     validate_density,
@@ -30,12 +29,7 @@ from .criteria import (
     realignment_criterion,
 )
 from .exceptions import MatrixFileError, NotApplicableError
-from .linalg import (
-    Spectrum,
-    exact_rank,
-    residual_norm,
-    span_projector,
-)
+from .linalg import Spectrum, exact_rank, residual_norm
 from .optimize import (
     OptResult,
     RankTwoFactors,
@@ -69,7 +63,6 @@ __all__ = [
     "kernel_witness",
     "min_generic_quadratic",
     "min_schmidt2_expectation",
-    "partial_transpose",
     "range_families",
     "read_matrix_file",
     "realign",
@@ -81,7 +74,6 @@ __all__ = [
     "rho_6_6",
     "schmidt_coefficients",
     "shift_witness",
-    "span_projector",
     "validate_density",
     "write_matrix_file",
 ]

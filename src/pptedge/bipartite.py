@@ -20,7 +20,6 @@ __all__ = [
     "BipartiteOperator",
     "InvalidStateError",
     "ProductVector",
-    "partial_transpose",
     "realign",
     "schmidt_coefficients",
     "transpose_b",
@@ -55,10 +54,6 @@ class BipartiteOperator:
     def is_hermitian(self, atol: float = linalg.HERMITIAN_ATOL) -> bool:
         return linalg.is_hermitian(self.matrix, atol)
 
-    def tensor4(self) -> np.ndarray:
-        """View of the matrix as a 4-index tensor T[i, k, j, l]."""
-        return self.matrix.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
-
     @cached_property
     def spectrum(self) -> linalg.Spectrum:
         """The one eigendecomposition of the matrix, made on first use; every rank, PSD and range decision reads it."""
@@ -66,7 +61,7 @@ class BipartiteOperator:
 
     @cached_property
     def pt(self) -> "BipartiteOperator":
-        """Partial transpose on party B, computed on first use (see :func:`partial_transpose`)."""
+        """Partial transpose on party B, computed on first use: entry ((i,k),(j,l)) of the output is ((i,l),(j,k)) of the input."""
         return BipartiteOperator(transpose_b(self.matrix, self.dim_a, self.dim_b), self.dim_a, self.dim_b)
 
     @cached_property
@@ -104,11 +99,6 @@ def transpose_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return m.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 3, 2, 1).reshape(d, d)
 
 
-def partial_transpose(op: BipartiteOperator) -> BipartiteOperator:
-    """Transpose party B only: entry ((i,k),(j,l)) of the output is ((i,l),(j,k)) of the input; ``op.pt``."""
-    return op.pt
-
-
 def realign(op: BipartiteOperator) -> np.ndarray:
     """Rearrange entries: output row (i,j), column (k,l) holds the input entry ((i,k),(j,l)).
 
@@ -120,7 +110,7 @@ def realign(op: BipartiteOperator) -> np.ndarray:
     if op.dim_a != op.dim_b:
         raise NotApplicableError(f"realignment requires dim_a == dim_b, got ({op.dim_a}, {op.dim_b})")
     da = op.dim_a
-    return op.tensor4().transpose(0, 2, 1, 3).reshape(da * da, da * da)
+    return op.matrix.reshape(da, da, da, da).transpose(0, 2, 1, 3).reshape(da * da, da * da)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,17 @@ derived from the linear form that vectors in those ranges must take:
 with one basis vector per free parameter. An entry's ``state`` is the
 :class:`~pptedge.bipartite.BipartiteOperator` that every test and witness
 takes; the exact data serve exact checks.
+
+Each entry is built once per process, on first use, and shared: :func:`get`,
+:func:`entries`, :func:`rho_5_5`, :func:`rho_6_6` and
+:func:`reference_states` all return the same cached objects, so the spectra
+cached on a state are also computed once, whichever entry point reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -138,54 +143,16 @@ def _integers(rows) -> np.ndarray:
     return out
 
 
-def _integer_entry(name: str, numerator, basis, pt_basis) -> CatalogEntry:
+def _integer_entry(name: str, numerator, denominator: int, basis=None, pt_basis=None) -> CatalogEntry:
+    """Entry of the state ``numerator / denominator`` on C^3 (x) C^3, with its exact range bases when given."""
     exact = _integers(numerator)
-    state = BipartiteOperator(exact / 13.0, 3, 3)
     return CatalogEntry(
         name=name,
-        state=state,
+        state=BipartiteOperator(exact / denominator, 3, 3),
         exact=exact,
-        denominator=13,
-        range_basis=_integers(basis),
-        pt_range_basis=_integers(pt_basis),
-    )
-
-
-def rho_5_5() -> CatalogEntry:
-    """The rank-(5,5) PPT entangled edge state, exact entries over 13."""
-    return _integer_entry("rho_5_5", _RHO_5_5_NUM, _RANGE_BASIS_5_5, _PT_RANGE_BASIS_5_5)
-
-
-def rho_6_6() -> CatalogEntry:
-    """The rank-(6,6) PPT entangled edge state, exact entries over 13."""
-    return _integer_entry("rho_6_6", _RHO_6_6_NUM, _RANGE_BASIS_6_6, _PT_RANGE_BASIS_6_6)
-
-
-def _max_mixed() -> CatalogEntry:
-    return CatalogEntry(
-        name="max_mixed",
-        state=BipartiteOperator(np.eye(9, dtype=complex) / 9.0, 3, 3),
-        exact=_integers(np.eye(9)),
-        denominator=9,
-        range_basis=None,
-        pt_range_basis=None,
-    )
-
-
-def _max_entangled() -> CatalogEntry:
-    # projector onto (|00> + |11> + |22>) / sqrt(3); entries are thirds
-    num = [[0] * 9 for _ in range(9)]
-    for i in (0, 4, 8):
-        for j in (0, 4, 8):
-            num[i][j] = 1
-    mat = np.array(num, dtype=complex) / 3.0
-    return CatalogEntry(
-        name="max_entangled",
-        state=BipartiteOperator(mat, 3, 3),
-        exact=_integers(num),
-        denominator=3,
-        range_basis=None,
-        pt_range_basis=None,
+        denominator=denominator,
+        range_basis=None if basis is None else _integers(basis),
+        pt_range_basis=None if pt_basis is None else _integers(pt_basis),
     )
 
 
@@ -210,17 +177,13 @@ def _separable_sample() -> CatalogEntry:
     )
 
 
-def reference_states() -> tuple[CatalogEntry, ...]:
-    """Sanity corpus: maximally mixed, maximally entangled, seeded separable mixture."""
-    return (_max_mixed(), _max_entangled(), _separable_sample())
-
-
 # name -> builder, in catalog order
 _BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
-    "rho_5_5": rho_5_5,
-    "rho_6_6": rho_6_6,
-    "max_mixed": _max_mixed,
-    "max_entangled": _max_entangled,
+    "rho_5_5": partial(_integer_entry, "rho_5_5", _RHO_5_5_NUM, 13, _RANGE_BASIS_5_5, _PT_RANGE_BASIS_5_5),
+    "rho_6_6": partial(_integer_entry, "rho_6_6", _RHO_6_6_NUM, 13, _RANGE_BASIS_6_6, _PT_RANGE_BASIS_6_6),
+    "max_mixed": partial(_integer_entry, "max_mixed", np.eye(9, dtype=np.int64), 9),
+    # the projector onto |00> + |11> + |22>, over 3
+    "max_entangled": partial(_integer_entry, "max_entangled", np.outer(*2 * [np.eye(3, dtype=np.int64).ravel()]), 3),
     "separable_sample": _separable_sample,
 }
 CATALOG_NAMES = tuple(_BUILDERS)
@@ -240,6 +203,21 @@ def get(name: str) -> CatalogEntry:
     if name not in CATALOG_NAMES:
         raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(CATALOG_NAMES)}")
     return _built(name)
+
+
+def rho_5_5() -> CatalogEntry:
+    """The rank-(5,5) PPT entangled edge state, exact entries over 13: the cached ``get("rho_5_5")``."""
+    return get("rho_5_5")
+
+
+def rho_6_6() -> CatalogEntry:
+    """The rank-(6,6) PPT entangled edge state, exact entries over 13: the cached ``get("rho_6_6")``."""
+    return get("rho_6_6")
+
+
+def reference_states() -> tuple[CatalogEntry, ...]:
+    """Sanity corpus, the cached entries: maximally mixed, maximally entangled, seeded separable mixture."""
+    return tuple(get(name) for name in ("max_mixed", "max_entangled", "separable_sample"))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bipartite import BipartiteOperator, ProductVector, partial_transpose
+from .bipartite import BipartiteOperator, ProductVector, transpose_b
 from .exceptions import NotApplicableError
 from .optimize import OptResult, SeeSawConfig, min_generic_quadratic
 
@@ -92,15 +92,6 @@ class EdgeCertificate:
     operator: BipartiteOperator | None
 
 
-def range_projectors(op: BipartiteOperator, rel_tol: float = linalg.DEFAULT_RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors onto range(rho) and range(rho^T_B), from the cached spectra at ``rel_tol``.
-
-    They read the spectra the ranks are read from, so they always agree
-    with the ranks reported at ``rel_tol``.
-    """
-    return op.spectrum.range_projector(rel_tol), op.pt.spectrum.range_projector(rel_tol)
-
-
 def is_ppt(op: BipartiteOperator, tol: float = 1e-12) -> CriterionReport:
     """PPT test: passes iff the partial transpose has no eigenvalue below -tol."""
     evidence = float(op.pt.spectrum.values[0])
@@ -123,8 +114,7 @@ def edge_operator(p_range: np.ndarray, p_pt_range: np.ndarray, dims: tuple[int, 
     is the kernel witness before the epsilon shift.
     """
     eye = np.eye(dims[0] * dims[1], dtype=complex)
-    q_pt = partial_transpose(BipartiteOperator(eye - p_pt_range, *dims)).matrix
-    return BipartiteOperator(eye - p_range + q_pt, *dims)
+    return BipartiteOperator(eye - p_range + transpose_b(eye - p_pt_range, *dims), *dims)
 
 
 def certify_edge(
@@ -157,7 +147,9 @@ def certify_edge(
             opt=None,
             operator=None,
         )
-    p_range, p_pt = range_projectors(op, rel_tol)
+    # read from the spectra the ranks come from, so they agree with the ranks at rel_tol
+    p_range = op.spectrum.range_projector(rel_tol)
+    p_pt = op.pt.spectrum.range_projector(rel_tol)
     operator = edge_operator(p_range, p_pt, (op.dim_a, op.dim_b))
     result = min_generic_quadratic(operator, cfg)
     pv = result.argmin

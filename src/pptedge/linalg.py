@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "phase_fix",
     "rank_mask",
     "residual_norm",
-    "span_projector",
 ]
 
 
@@ -124,18 +122,6 @@ class Spectrum:
         keep = self.vectors[:, rank_mask(self.values, rel_tol)]
         p = keep @ keep.conj().T
         return (p + p.conj().T) / 2
-
-
-def span_projector(vectors: Iterable) -> np.ndarray:
-    """Hermitian projector onto the span of linearly independent vectors."""
-    cols = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    b = np.stack(cols, axis=1)
-    q, r = np.linalg.qr(b)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-12 * max(1.0, diag.max()):
-        raise ValueError("span basis is numerically rank-deficient")
-    p = q @ q.conj().T
-    return (p + p.conj().T) / 2
 
 
 def residual_norm(vec, projector: np.ndarray) -> float:

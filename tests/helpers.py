@@ -76,6 +76,11 @@ def exact_row_space_projector(rows) -> np.ndarray:
     return b.T @ work[:, k:]
 
 
+def row_space_projector(rows) -> np.ndarray:
+    """Float copy of :func:`exact_row_space_projector`, for residual checks against real integer rows."""
+    return exact_row_space_projector(rows).astype(float)
+
+
 def brute_force_product_min_2x2(h: np.ndarray, n_incl: int = 400, n_phase: int = 800) -> float:
     """Product-state minimum of a Hermitian 4x4 operator by exhaustive scan.
 

@@ -22,7 +22,7 @@ from conftest import (
     TRACE_NORM_6_6,
 )
 from pptedge import catalog, linalg
-from pptedge.bipartite import BipartiteOperator, partial_transpose, realign, schmidt_coefficients
+from pptedge.bipartite import BipartiteOperator, realign, schmidt_coefficients, transpose_b
 from pptedge.criteria import certify_edge, realignment_criterion
 from pptedge.optimize import SeeSawConfig, min_generic_quadratic, min_schmidt2_expectation
 from pptedge.witness import evaluate, kernel_witness, realignment_witness, shift_witness
@@ -72,8 +72,8 @@ def test_criterion_01_exact_ranks(entries):
 def test_criterion_02_partial_transpose_fixture(entries):
     start = time.perf_counter()
     r55, r66 = entries
-    ok55 = np.array_equal(13.0 * partial_transpose(r55.state).matrix, PT_5_5_NUM.astype(complex))
-    ok66 = np.array_equal(13.0 * partial_transpose(r66.state).matrix, PT_6_6_NUM.astype(complex))
+    ok55 = np.array_equal(13.0 * r55.state.pt.matrix, PT_5_5_NUM.astype(complex))
+    ok66 = np.array_equal(13.0 * r66.state.pt.matrix, PT_6_6_NUM.astype(complex))
     elapsed = time.perf_counter() - start
     _report(2, "partial transposes equal the expected integer tables entrywise", ok55 and ok66 and elapsed < 1.0)
 
@@ -82,7 +82,7 @@ def test_criterion_03_ppt(entries):
     minima = []
     for entry in entries:
         minima.append(np.linalg.eigvalsh(entry.state.matrix)[0])
-        minima.append(np.linalg.eigvalsh(partial_transpose(entry.state).matrix)[0])
+        minima.append(np.linalg.eigvalsh(entry.state.pt.matrix)[0])
     ok = all(m >= -1e-12 for m in minima)
     _report(3, "both states and both partial transposes are PSD within 1e-12", ok, f"min eig {min(minima):.2e}")
 
@@ -104,16 +104,16 @@ def test_criterion_05_range_fixtures(entries):
     r55, r66 = entries
     ok = True
     for range_name, basis in (("rho_5_5", r55.range_basis), ("rho_5_5_pt", r55.pt_range_basis)):
-        p = linalg.span_projector(basis)
+        p = helpers.row_space_projector(basis)
         for family in catalog.range_families(range_name):
             residuals = [linalg.residual_norm(pv.tensor(), p) for pv in family.samples(100, seed=17)]
             ok &= max(residuals) < 1e-10
     for entry in (r55, r66):
-        p_basis = linalg.span_projector(entry.range_basis)
+        p_basis = helpers.row_space_projector(entry.range_basis)
         p_eig = linalg.Spectrum.of(entry.state.matrix).range_projector()
         ok &= float(np.abs(p_basis - p_eig).max()) < 1e-10
-        q_basis = linalg.span_projector(entry.pt_range_basis)
-        q_eig = linalg.Spectrum.of(partial_transpose(entry.state).matrix).range_projector()
+        q_basis = helpers.row_space_projector(entry.pt_range_basis)
+        q_eig = linalg.Spectrum.of(entry.state.pt.matrix).range_projector()
         ok &= float(np.abs(q_basis - q_eig).max()) < 1e-10
     _report(5, "family vectors stay in range (100 samples each) and exact bases span the ranges", ok)
 
@@ -184,10 +184,10 @@ def test_criterion_10_optimizer_properties(entries):
     # monotone half-steps on the edge objective and on random Hermitian operators
     trace_cfg = SeeSawConfig(restarts=40, max_iter=300, seed=3)
     r55 = entries[0]
-    p_basis = linalg.span_projector(r55.range_basis)
-    q_basis = linalg.span_projector(r55.pt_range_basis)
+    p_basis = helpers.row_space_projector(r55.range_basis)
+    q_basis = helpers.row_space_projector(r55.pt_range_basis)
     eye = np.eye(9)
-    edge_op = eye - p_basis + partial_transpose(BipartiteOperator(eye - q_basis, 3, 3)).matrix
+    edge_op = eye - p_basis + transpose_b(eye - q_basis, 3, 3)
     rng = np.random.default_rng(77)
     for h in [edge_op] + [helpers.random_hermitian(rng, 9) for _ in range(3)]:
         ok &= float(np.diff(half_step_values(h, 1, trace_cfg), axis=0).max()) <= 1e-14

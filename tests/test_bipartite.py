@@ -6,7 +6,6 @@ from conftest import PT_5_5_NUM, PT_6_6_NUM
 from pptedge.bipartite import (
     BipartiteOperator,
     ProductVector,
-    partial_transpose,
     realign,
     schmidt_coefficients,
     validate_density,
@@ -21,19 +20,19 @@ def _random_op(rng, da=3, db=3):
 
 
 def test_partial_transpose_matches_printed_5_5(rho55):
-    pt = partial_transpose(rho55.state)
+    pt = rho55.state.pt
     assert np.array_equal(13.0 * pt.matrix, PT_5_5_NUM.astype(complex))
 
 
 def test_partial_transpose_matches_printed_6_6(rho66):
-    pt = partial_transpose(rho66.state)
+    pt = rho66.state.pt
     assert np.array_equal(13.0 * pt.matrix, PT_6_6_NUM.astype(complex))
 
 
 def test_partial_transpose_involution_is_exact():
     rng = np.random.default_rng(1)
     op = _random_op(rng)
-    assert np.array_equal(partial_transpose(partial_transpose(op)).matrix, op.matrix)
+    assert np.array_equal(op.pt.pt.matrix, op.matrix)
 
 
 def test_partial_transpose_of_product_operator():
@@ -41,13 +40,13 @@ def test_partial_transpose_of_product_operator():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     op = BipartiteOperator(np.kron(a, b), 3, 3)
-    assert np.abs(partial_transpose(op).matrix - np.kron(a, b.T)).max() < 1e-14
+    assert np.abs(op.pt.matrix - np.kron(a, b.T)).max() < 1e-14
 
 
 def test_partial_transpose_max_entangled_minimum_eigenvalue():
     v = helpers.max_entangled_vector(3)
     op = BipartiteOperator(np.outer(v, v.conj()), 3, 3)
-    w = np.linalg.eigvalsh(partial_transpose(op).matrix)
+    w = np.linalg.eigvalsh(op.pt.matrix)
     assert abs(w[0] + 1.0 / 3.0) < 1e-12
 
 
@@ -57,7 +56,6 @@ def test_spectrum_and_partial_transpose_are_cached_and_read_only():
     op = BipartiteOperator(m + m.conj().T, 3, 3)
     assert op.spectrum is op.spectrum
     assert op.pt is op.pt
-    assert partial_transpose(op) is op.pt
     assert op.pt.spectrum is op.pt.spectrum
     for arr in (op.spectrum.values, op.spectrum.vectors, op.pt.matrix, op.pt.spectrum.values):
         assert not arr.flags.writeable

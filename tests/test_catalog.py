@@ -1,13 +1,15 @@
 import dataclasses
+import functools
 import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import helpers
 from conftest import PT_5_5_NUM, PT_6_6_NUM
 from pptedge import catalog, linalg
-from pptedge.bipartite import BipartiteOperator, ProductVector, partial_transpose
+from pptedge.bipartite import BipartiteOperator, ProductVector
 from pptedge.criteria import is_ppt
 
 
@@ -55,16 +57,16 @@ def test_expected_ranks(rho55, rho66):
 def test_states_and_partial_transposes_are_psd(rho55, rho66):
     for entry in (rho55, rho66):
         assert np.linalg.eigvalsh(entry.state.matrix)[0] >= -1e-12
-        assert np.linalg.eigvalsh(partial_transpose(entry.state).matrix)[0] >= -1e-12
+        assert np.linalg.eigvalsh(entry.state.pt.matrix)[0] >= -1e-12
 
 
 def test_range_bases_span_the_ranges(rho55, rho66):
     for entry in (rho55, rho66):
-        p_basis = linalg.span_projector(entry.range_basis)
+        p_basis = helpers.row_space_projector(entry.range_basis)
         p_eig = linalg.Spectrum.of(entry.state.matrix).range_projector()
         assert np.abs(p_basis - p_eig).max() < 1e-10
-        q_basis = linalg.span_projector(entry.pt_range_basis)
-        q_eig = linalg.Spectrum.of(partial_transpose(entry.state).matrix).range_projector()
+        q_basis = helpers.row_space_projector(entry.pt_range_basis)
+        q_eig = linalg.Spectrum.of(entry.state.pt.matrix).range_projector()
         assert np.abs(q_basis - q_eig).max() < 1e-10
 
 
@@ -82,14 +84,14 @@ def test_range_bases_span_the_ranges_exactly(name, rank):
 def test_linear_constraint_pattern_vectors(rho66):
     # V6 = V2 + V4, V7 = -V5, V8 = V1 + 2 V3 - V0
     v = np.array([1, 1, 1, 1, 1, 1, 2, -1, 2], dtype=complex)
-    assert linalg.residual_norm(v, linalg.span_projector(rho66.range_basis)) < 1e-12
+    assert linalg.residual_norm(v, helpers.row_space_projector(rho66.range_basis)) < 1e-12
     # V4 = -V0, V6 = V5 - V2, V7 = V3
     w = np.array([1, 0, 0, 0, -1, 0, 0, 0, 1], dtype=complex)
-    assert linalg.residual_norm(w, linalg.span_projector(rho66.pt_range_basis)) < 1e-12
+    assert linalg.residual_norm(w, helpers.row_space_projector(rho66.pt_range_basis)) < 1e-12
 
 
 def test_first_basis_vector_orthogonal_to_5_5_range(rho55):
-    assert abs(linalg.residual_norm(np.eye(9)[0], linalg.span_projector(rho55.range_basis)) - 1.0) < 1e-12
+    assert abs(linalg.residual_norm(np.eye(9)[0], helpers.row_space_projector(rho55.range_basis)) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -97,7 +99,7 @@ def test_first_basis_vector_orthogonal_to_5_5_range(rho55):
     [("rho_5_5", "rho"), ("rho_5_5_pt", "pt")],
 )
 def test_families_lie_in_their_ranges(rho55, range_name, which):
-    p = linalg.span_projector(rho55.range_basis if which == "rho" else rho55.pt_range_basis)
+    p = helpers.row_space_projector(rho55.range_basis if which == "rho" else rho55.pt_range_basis)
     for family in catalog.range_families(range_name):
         for pv in family.samples(100, seed=3):
             assert linalg.residual_norm(pv.tensor(), p) < 1e-10, (range_name, family.name)
@@ -109,7 +111,7 @@ def test_family_case_1_1_spec_point(rho55):
     expect_b = np.array([0.0, 1.0, 1.0])
     assert np.allclose(pv.a, expect_a / np.linalg.norm(expect_a))
     assert np.allclose(pv.b, expect_b / np.linalg.norm(expect_b))
-    assert linalg.residual_norm(pv.tensor(), linalg.span_projector(rho55.range_basis)) < 1e-12
+    assert linalg.residual_norm(pv.tensor(), helpers.row_space_projector(rho55.range_basis)) < 1e-12
 
 
 def test_family_pt_case_1_2_1_spec_point(rho55):
@@ -119,7 +121,7 @@ def test_family_pt_case_1_2_1_spec_point(rho55):
     # compare up to the construction's phase normalization
     expect_b = np.array([0.0, -2.0, 1.0]) / np.sqrt(5.0)
     assert abs(abs(np.vdot(expect_b, pv.b)) - 1.0) < 1e-12
-    assert linalg.residual_norm(pv.tensor(), linalg.span_projector(rho55.pt_range_basis)) < 1e-12
+    assert linalg.residual_norm(pv.tensor(), helpers.row_space_projector(rho55.pt_range_basis)) < 1e-12
 
 
 def test_family_case_2_2_1_spec_point(rho55):
@@ -204,6 +206,27 @@ def test_get_is_cached_and_every_entry_array_is_read_only():
         assert arrays
         assert not any(arr.flags.writeable for arr in arrays), name
     assert all(e is catalog.get(e.name) for e in catalog.entries())
+
+
+def test_every_accessor_returns_the_one_cached_build(monkeypatch):
+    # a fresh cache, so this test sees the builds it triggers
+    monkeypatch.setattr(catalog, "_built", functools.cache(catalog._built.__wrapped__))
+    assert catalog.rho_5_5() is catalog.get("rho_5_5")
+    assert catalog.rho_6_6() is catalog.get("rho_6_6")
+    refs = catalog.reference_states()
+    assert [e.name for e in refs] == ["max_mixed", "max_entangled", "separable_sample"]
+    assert all(e is catalog.get(e.name) for e in refs)
+    # so the spectra cached on a state are built once too, whichever accessor reads them
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        eighs.append(m.shape)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert catalog.rho_5_5().state.pt.spectrum is catalog.rho_5_5().state.pt.spectrum
+    assert eighs == [(9, 9)]
 
 
 def test_separable_product_vectors_compose_the_sample():

@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from conftest import EDGE_MIN_5_5, TRACE_NORM_6_6
-from pptedge import catalog, cli, criteria, optimize
+from pptedge import catalog, cli, criteria, linalg, optimize
 from pptedge.bipartite import BipartiteOperator
 from pptedge.cli import main
 from pptedge.serialize import write_matrix_file
@@ -188,6 +188,23 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def _count_projector_calls(monkeypatch) -> list:
+    """Wrap ``Spectrum.range_projector`` so each call records the spectrum it was read from."""
+    original = linalg.Spectrum.range_projector
+    spectra: list = []
+
+    def counted(self, *args, **kwargs):
+        spectra.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.Spectrum, "range_projector", counted)
+    return spectra
+
+
+def _one_projector_per_spectrum(spectra: list, state: BipartiteOperator) -> bool:
+    return len(spectra) == 2 and spectra[0] is state.spectrum and spectra[1] is state.pt.spectrum
+
+
 def test_witness_kernel_full_rank_runs_no_see_saw(monkeypatch, capsys):
     see_saws = _count_calls(monkeypatch, "min_generic_quadratic")
     assert main(["witness", "max_mixed", "--method", "kernel"]) == 4
@@ -197,20 +214,20 @@ def test_witness_kernel_full_rank_runs_no_see_saw(monkeypatch, capsys):
 
 def test_witness_kernel_gates_ppt_and_builds_projectors_once(monkeypatch, capsys):
     ppt_gates = _count_calls(monkeypatch, "is_ppt")
-    projectors = _count_calls(monkeypatch, "range_projectors")
+    projectors = _count_projector_calls(monkeypatch)
     payload = _run_json(capsys, ["witness", "rho_5_5", "--method", "kernel", *FAST])
     assert len(ppt_gates) == 1
-    assert len(projectors) == 1
+    assert _one_projector_per_spectrum(projectors, catalog.get("rho_5_5").state)
     assert payload["metadata"]["normalization"] == 0.125
 
 
 @pytest.mark.parametrize("name", ["rho_5_5", "rho_6_6"])
 def test_analyze_runs_edge_see_saw_and_projectors_once(monkeypatch, capsys, name):
     see_saws = _count_calls(monkeypatch, "min_generic_quadratic")
-    projectors = _count_calls(monkeypatch, "range_projectors")
+    projectors = _count_projector_calls(monkeypatch)
     report = _run_json(capsys, ["analyze", name, *FAST])
     assert len(see_saws) == 1
-    assert len(projectors) == 1
+    assert _one_projector_per_spectrum(projectors, catalog.get(name).state)
     kernel = report["witnesses"]["kernel"]
     assert kernel["epsilon"] == kernel["normalization"] * report["edge"]["minimum"]
 

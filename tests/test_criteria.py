@@ -11,7 +11,6 @@ from pptedge.criteria import (
     certify_edge,
     edge_operator,
     is_ppt,
-    range_projectors,
     realignment_criterion,
 )
 from pptedge.exceptions import NotApplicableError
@@ -66,7 +65,7 @@ def test_realignment_criterion_product_and_mixed_states():
 def _edge_expectation(state: BipartiteOperator, a, b) -> float:
     """Expectation of the edge operator in the normalized product a (x) b: the edge objective at (a, b)."""
     v = ProductVector(a, b).tensor()
-    op = edge_operator(*range_projectors(state), (3, 3))
+    op = edge_operator(state.spectrum.range_projector(), state.pt.spectrum.range_projector(), (3, 3))
     return float(np.real(np.vdot(v, op.matrix @ v)))
 
 
@@ -97,7 +96,7 @@ def test_edge_objective_orthogonal_pair_is_two(rho55):
 def test_family_vectors_are_in_range_but_partners_are_not(rho55):
     for family in catalog.range_families("rho_5_5"):
         for pv in family.samples(25, seed=8):
-            in_range = linalg.residual_norm(pv.tensor(), linalg.span_projector(rho55.range_basis))
+            in_range = linalg.residual_norm(pv.tensor(), helpers.row_space_projector(rho55.range_basis))
             assert in_range**2 < 1e-10
             total = _edge_expectation(rho55.state, pv.a, pv.b)
             assert total > 1e-6, family.name
@@ -164,13 +163,13 @@ def test_certificate_serializes(rho55, fast_cfg):
 
 def test_residual_norm_rejects_zero_vector_against_stored_range(rho55):
     with pytest.raises(ValueError):
-        linalg.residual_norm(np.zeros(9), linalg.span_projector(rho55.range_basis))
+        linalg.residual_norm(np.zeros(9), helpers.row_space_projector(rho55.range_basis))
 
 
 @pytest.mark.parametrize("name", ["rho_5_5", "rho_6_6", "separable_rank4"])
 def test_edge_operator_expectation_is_edge_objective(name):
     state = BipartiteOperator(helpers.separable_mixture(4), 3, 3) if name == "separable_rank4" else catalog.get(name).state
-    p_range, p_pt = range_projectors(state)
+    p_range, p_pt = state.spectrum.range_projector(), state.pt.spectrum.range_projector()
     op = edge_operator(p_range, p_pt, (3, 3))
     assert op.is_hermitian()
     rng = np.random.default_rng(20)

@@ -76,10 +76,8 @@ def test_rank_mask_counts_moduli_strictly_above_the_relative_threshold():
 
 
 def test_numeric_rank_catalog(rho55, rho66):
-    from pptedge.bipartite import partial_transpose
-
     assert linalg.Spectrum.of(rho55.state.matrix).rank(1e-9) == 5
-    assert linalg.Spectrum.of(partial_transpose(rho66.state).matrix).rank(1e-9) == 6
+    assert linalg.Spectrum.of(rho66.state.pt.matrix).rank(1e-9) == 6
 
 
 def test_numeric_rank_trivial_cases():
@@ -103,11 +101,9 @@ def test_exact_rank_catalog(rho55, rho66):
 
 
 def test_exact_matches_numeric_rank_on_catalog(rho55, rho66):
-    from pptedge.bipartite import partial_transpose
-
     for entry in (rho55, rho66):
         assert linalg.exact_rank(entry.exact) == linalg.Spectrum.of(entry.state.matrix).rank()
-        assert linalg.exact_rank(entry.exact_pt) == linalg.Spectrum.of(partial_transpose(entry.state).matrix).rank()
+        assert linalg.exact_rank(entry.exact_pt) == linalg.Spectrum.of(entry.state.pt.matrix).rank()
 
 
 def test_exact_rank_trivial():
@@ -175,15 +171,11 @@ def test_projector_contracts(rho55):
 
 
 def test_span_projector_matches_eigen_route(rho55, rho66):
+    # the exact projector onto the span of the stored integer basis is the spectrum's range projector
     for entry in (rho55, rho66):
-        p_basis = linalg.span_projector(entry.range_basis)
+        p_basis = helpers.row_space_projector(entry.range_basis)
         p_eig = linalg.Spectrum.of(entry.state.matrix).range_projector()
         assert np.abs(p_basis - p_eig).max() < 1e-10
-
-
-def test_span_projector_rejects_dependent_basis():
-    with pytest.raises(ValueError):
-        linalg.span_projector([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
 
 
 def test_residual_norm_contract():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from pptedge.bipartite import BipartiteOperator, partial_transpose, schmidt_coefficients
+from pptedge.bipartite import BipartiteOperator, schmidt_coefficients, transpose_b
 from pptedge.exceptions import NotApplicableError
 from pptedge.optimize import OptResult, SeeSawConfig, min_generic_quadratic, min_schmidt2_expectation
 
@@ -26,7 +26,7 @@ def _product_value(h: np.ndarray, pv) -> float:
 
 def _plus_conjugate_term(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """h1 + h2^T_B on 3x3, whose expectation in a (x) b is <ab|h1|ab> + <a conj(b)|h2|a conj(b)>."""
-    return h1 + partial_transpose(BipartiteOperator(h2, 3, 3)).matrix
+    return h1 + transpose_b(h2, 3, 3)
 
 
 @NO_RUNTIME_WARNING
@@ -245,11 +245,11 @@ def _argmin_bits(argmin) -> tuple[bytes, ...]:
 
 
 def _catalog_edge_operator(name: str) -> BipartiteOperator:
-    from pptedge import catalog, linalg
+    from pptedge import catalog
 
     entry = catalog.get(name)
     eye = np.eye(9)
-    p_range, p_pt = (linalg.span_projector(basis) for basis in (entry.range_basis, entry.pt_range_basis))
+    p_range, p_pt = (helpers.row_space_projector(basis) for basis in (entry.range_basis, entry.pt_range_basis))
     return _op(_plus_conjugate_term(eye - p_range, eye - p_pt))
 
 

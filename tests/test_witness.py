@@ -7,8 +7,8 @@ import pytest
 
 import helpers
 from conftest import EPS_5_5, EPS_6_6, TRACE_NORM_5_5, TRACE_NORM_6_6
-from pptedge import catalog, cli
-from pptedge.criteria import certify_edge, edge_operator, range_projectors, realignment_criterion
+from pptedge import catalog, cli, linalg
+from pptedge.criteria import certify_edge, edge_operator, realignment_criterion
 from pptedge.bipartite import BipartiteOperator, realign, transpose_b
 from pptedge.exceptions import NotApplicableError
 from pptedge.optimize import SeeSawConfig, min_generic_quadratic, min_schmidt2_expectation
@@ -60,16 +60,23 @@ def test_kernel_witness_detects_source(rho55, rho66, w1_55, w1_66):
         assert abs(evaluate(w.operator, entry.state) + w.epsilon) < 1e-10
 
 
+_EXACT_EYE = np.array([[Fraction(int(i == j)) for j in range(9)] for i in range(9)], dtype=object)
+
+
+def _exact_kernel_witness(entry, w: Witness) -> tuple[np.ndarray, Fraction]:
+    """N (P + Q^T_B) - eps I in Fractions, with P and Q from the stored integer range bases and eps = ``w.epsilon``; and N."""
+    p = helpers.exact_row_space_projector(entry.range_basis)
+    q = helpers.exact_row_space_projector(entry.pt_range_basis)
+    edge = (_EXACT_EYE - p) + transpose_b(_EXACT_EYE - q, 3, 3)
+    norm = 1 / np.trace(edge)
+    return norm * edge - Fraction(w.epsilon) * _EXACT_EYE, norm
+
+
 def test_kernel_witness_detection_identity_holds_exactly(rho55, rho66, w1_55, w1_66):
     # P and Q from the stored integer range bases are rational, and Tr(W1 rho) = -eps then holds in Fractions
-    eye = np.array([[Fraction(int(i == j)) for j in range(9)] for i in range(9)], dtype=object)
     for entry, w in ((rho55, w1_55), (rho66, w1_66)):
-        p = helpers.exact_row_space_projector(entry.range_basis)
-        q = helpers.exact_row_space_projector(entry.pt_range_basis)
-        edge = (eye - p) + transpose_b(eye - q, 3, 3)
-        norm = 1 / np.trace(edge)
+        exact_w1, norm = _exact_kernel_witness(entry, w)
         eps = Fraction(w.epsilon)
-        exact_w1 = norm * edge - eps * eye
         rho = np.array([[Fraction(x, entry.denominator) for x in row] for row in entry.exact.tolist()], dtype=object)
         assert np.trace(exact_w1 @ rho) == -eps
         assert float(norm) == w.normalization
@@ -103,7 +110,8 @@ def test_kernel_witness_is_normalized_edge_operator(rho55, fast_cfg):
     cert = certify_edge(rho55.state, fast_cfg)
     w = kernel_witness(cert)
     # the certificate carries the operator its see-saw minimized, built from the spectral projectors
-    assert cert.operator.matrix.tobytes() == edge_operator(*range_projectors(rho55.state), (3, 3)).matrix.tobytes()
+    p_range, p_pt = rho55.state.spectrum.range_projector(), rho55.state.pt.spectrum.range_projector()
+    assert cert.operator.matrix.tobytes() == edge_operator(p_range, p_pt, (3, 3)).matrix.tobytes()
     expected = w.normalization * cert.operator.matrix
     assert w.operator.matrix.tobytes() == (expected - w.epsilon * np.eye(9, dtype=complex)).tobytes()
     assert w.epsilon == w.normalization * cert.minimum
@@ -251,6 +259,24 @@ def test_schmidt2_evidence_negative_for_all_witnesses(rho55, rho66, w1_55, w1_66
         shifted = shift_witness(w.operator, entry.state, 1e-6)
         res_shifted = min_schmidt2_expectation(shifted, fast_cfg)
         assert res_shifted.best_value < 0.0, (entry.name, "shifted " + w.method)
+
+
+def test_kernel_witness_is_negative_on_a_schmidt_rank_2_state_exactly(rho55, rho66, w1_55, w1_66, fast_cfg):
+    # the search's factors L (3x2) and R (2x3), read as Gaussian rationals: vec(L R) = x + iy has Schmidt rank
+    # at most 2 by construction, and for the real symmetric rational W1, <psi|W1|psi> = x W1 x + y W1 y exactly
+    def rational(m):
+        return np.vectorize(Fraction, otypes=[object])(m)
+
+    for entry, w in ((rho55, w1_55), (rho66, w1_66)):
+        exact_w1, _ = _exact_kernel_witness(entry, w)
+        assert np.array_equal(exact_w1, exact_w1.T)
+        factors = min_schmidt2_expectation(w.operator, fast_cfg).argmin
+        lr, li, rr, ri = (rational(part) for m in (factors.left, factors.right) for part in (m.real, m.imag))
+        re, im = lr @ rr - li @ ri, lr @ ri + li @ rr
+        # the complex rank of re + i im is half the rank of its real form [[re, -im], [im, re]]
+        assert linalg.exact_rank(np.block([[re, -im], [im, re]])) == 4
+        x, y = re.reshape(-1), im.reshape(-1)
+        assert x @ exact_w1 @ x + y @ exact_w1 @ y < 0, entry.name
 
 
 def test_schmidt2_evidence_identity_sanity(fast_cfg):
