@@ -5,24 +5,26 @@ matrices over the common denominator 13. That makes two things exact that
 are usually only numerical: the rank computation (fraction-free elimination
 over the integers) and the partial transpose (a pure index permutation).
 A state's partial transpose is ``state.pt``, built once on first use and
-cached, like every spectrum read from it; the catalog entries themselves are
-built once per process and shared by every accessor.
+cached, like every spectrum read from it. Each catalog entry, read through
+``catalog.get``, is built once per process and carries everything known
+about its state; its exact ranks are computed on first read and kept.
 """
 
 import numpy as np
 
-from pptedge import exact_rank, rho_5_5, rho_6_6
+from pptedge import catalog
 
 np.set_printoptions(linewidth=140, suppress=True)
 
-for entry in (rho_5_5(), rho_6_6()):
+for entry in (catalog.get("rho_5_5"), catalog.get("rho_6_6")):
     print("=" * 70)
     print(f"state {entry.name}   (denominator {entry.denominator})")
     print(entry.exact)
 
     # Exact ranks never touch floating point; the numeric path must agree.
-    print(f"exact rank            : {exact_rank(entry.exact)}")
-    print(f"exact rank of PT      : {exact_rank(entry.exact_pt)}")
+    exact, exact_pt = entry.exact_ranks
+    print(f"exact rank            : {exact}")
+    print(f"exact rank of PT      : {exact_pt}")
     print(f"numeric rank          : {entry.state.spectrum.rank()}")
     pt = entry.state.pt
     print(f"numeric rank of PT    : {pt.spectrum.rank()}")

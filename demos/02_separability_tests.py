@@ -8,9 +8,9 @@ other verdicts: the maximally entangled state fails PPT outright, while the
 mixed and separable references pass everything.
 """
 
-from pptedge import is_ppt, realignment_criterion, reference_states, rho_5_5, rho_6_6
+from pptedge import catalog, is_ppt, realignment_criterion
 
-states = [rho_5_5(), rho_6_6(), *reference_states()]
+states = catalog.entries()
 
 print(f"{'state':<18} {'PPT':<10} {'min PT eig':>12}   {'realign':<10} {'trace norm':>12}")
 print("-" * 70)

@@ -2,8 +2,8 @@
 
 A PPT state is an edge state when no product vector in its range has its
 conjugate partner (conjugate the second factor) in the range of the partial
-transpose. The catalog carries explicit product-vector families that exhaust
-the range of rho_5_5; every member is in range, but its partner always
+transpose. The catalog entry of rho_5_5 carries, as ``range_families``,
+explicit product-vector families that exhaust its range; every member is in range, but its partner always
 misses the transposed range, which is the edge property made quantitative.
 The range projectors are the ones certification reads: each comes from the
 state's cached spectrum (or its partial transpose's), at the default rank
@@ -18,15 +18,14 @@ minimum (heuristic, no global certificate) is the edge evidence; for a
 separable state the objective reaches zero at one of its product components.
 """
 
-from pptedge import SeeSawConfig, certify_edge, range_families, residual_norm, rho_5_5, rho_6_6
-from pptedge.catalog import get
+from pptedge import SeeSawConfig, catalog, certify_edge, residual_norm
 
 cfg = SeeSawConfig(restarts=80, seed=42)
 
-r55 = rho_5_5()
+r55 = catalog.get("rho_5_5")
 p_range, p_pt_range = r55.state.spectrum.range_projector(), r55.state.pt.spectrum.range_projector()
 print("product-vector families inside range(rho_5_5):")
-for family in range_families("rho_5_5"):
+for family in r55.range_families:
     pv = family.samples(1, seed=2)[0]
     in_range = residual_norm(pv.tensor(), p_range)
     partner_miss = residual_norm(pv.conjugate_partner(), p_pt_range)
@@ -37,7 +36,7 @@ for family in range_families("rho_5_5"):
     )
 
 print()
-for entry in (r55, rho_6_6(), get("separable_sample")):
+for entry in (r55, catalog.get("rho_6_6"), catalog.get("separable_sample")):
     cert = certify_edge(entry.state, cfg)
     print(
         f"{entry.name:<18} verdict: {cert.verdict:<16} minimum {cert.minimum:.3e}   "

@@ -18,21 +18,20 @@ variants that barely detect the source state.
 
 from pptedge import (
     SeeSawConfig,
+    catalog,
     certify_edge,
     evaluate,
     kernel_witness,
     min_generic_quadratic,
     min_schmidt2_expectation,
     realignment_witness,
-    rho_5_5,
-    rho_6_6,
     schmidt_coefficients,
     shift_witness,
 )
 
 cfg = SeeSawConfig(restarts=80, seed=42)
 
-for entry in (rho_5_5(), rho_6_6()):
+for entry in (catalog.get("rho_5_5"), catalog.get("rho_6_6")):
     print("=" * 72)
     rho = entry.state
     w1 = kernel_witness(certify_edge(rho, cfg))

@@ -19,7 +19,7 @@ from .bipartite import (
     schmidt_coefficients,
     validate_density,
 )
-from .catalog import CatalogEntry, ProductVectorFamily, range_families, reference_states, rho_5_5, rho_6_6
+from .catalog import CatalogEntry, ProductVectorFamily
 from .criteria import (
     CriterionReport,
     EdgeCertificate,
@@ -63,15 +63,11 @@ __all__ = [
     "kernel_witness",
     "min_generic_quadratic",
     "min_schmidt2_expectation",
-    "range_families",
     "read_matrix_file",
     "realign",
     "realignment_criterion",
     "realignment_witness",
-    "reference_states",
     "residual_norm",
-    "rho_5_5",
-    "rho_6_6",
     "schmidt_coefficients",
     "shift_witness",
     "validate_density",

@@ -16,20 +16,23 @@ with one basis vector per free parameter. An entry's ``state`` is the
 :class:`~pptedge.bipartite.BipartiteOperator` that every test and witness
 takes; the exact data serve exact checks.
 
-Each entry is built once per process, on first use, and shared: :func:`get`,
-:func:`entries`, :func:`rho_5_5`, :func:`rho_6_6` and
-:func:`reference_states` all return the same cached objects, so the spectra
-cached on a state are also computed once, whichever entry point reads them.
+A :class:`CatalogEntry` is the one record of what is known about its state:
+the exact numerators, the range bases, the product-vector families in the
+two ranges and, computed on first read, the exact ranks. Entries are read
+through :func:`get` or :func:`entries` only. Each is built once per process,
+on first use, and shared, so the spectra and exact ranks cached on it are
+also computed once, whichever caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
 
+from . import linalg
 from .bipartite import BipartiteOperator, ProductVector, transpose_b
 
 __all__ = [
@@ -38,10 +41,6 @@ __all__ = [
     "ProductVectorFamily",
     "entries",
     "get",
-    "range_families",
-    "reference_states",
-    "rho_5_5",
-    "rho_6_6",
 ]
 
 _RHO_5_5_NUM = (
@@ -109,7 +108,7 @@ _SEPARABLE_TERMS = 20
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named state together with its exact data.
+    """A named state together with everything known about it exactly.
 
     ``exact`` holds the integer numerator matrix, a read-only ``int64``
     array, and ``denominator`` its common denominator, so
@@ -119,21 +118,31 @@ class CatalogEntry:
     transpose; reference entries without a useful exact description carry
     ``None`` there. They are data for exact checks only: ranks and range
     projectors come from the state's spectrum, as for any other state.
+
+    ``range_families`` and ``pt_range_families`` are the known families of
+    product vectors in those two ranges. Only rho_5_5 has any: no product
+    vector in rho_6_6's ranges has its conjugate partner in the other range,
+    so its ranges are checked through their linear constraints instead.
     """
 
     name: str
     state: BipartiteOperator
-    exact: np.ndarray | None
-    denominator: int
-    range_basis: np.ndarray | None
-    pt_range_basis: np.ndarray | None
+    exact: np.ndarray | None = None
+    denominator: int = 1
+    range_basis: np.ndarray | None = None
+    pt_range_basis: np.ndarray | None = None
+    range_families: tuple[ProductVectorFamily, ...] = ()
+    pt_range_families: tuple[ProductVectorFamily, ...] = ()
 
-    @property
-    def exact_pt(self) -> np.ndarray | None:
-        """Numerator of the partial transpose, by exact index permutation."""
+    @cached_property
+    def exact_ranks(self) -> tuple[int, int] | None:
+        """Exact ranks of ``exact`` and of its partial transpose, computed on first read; None without exact data."""
         if self.exact is None:
             return None
-        return transpose_b(self.exact, self.state.dim_a, self.state.dim_b)
+        return (
+            linalg.exact_rank(self.exact),
+            linalg.exact_rank(transpose_b(self.exact, self.state.dim_a, self.state.dim_b)),
+        )
 
 
 def _integers(rows) -> np.ndarray:
@@ -143,8 +152,8 @@ def _integers(rows) -> np.ndarray:
     return out
 
 
-def _integer_entry(name: str, numerator, denominator: int, basis=None, pt_basis=None) -> CatalogEntry:
-    """Entry of the state ``numerator / denominator`` on C^3 (x) C^3, with its exact range bases when given."""
+def _integer_entry(name: str, numerator, denominator: int, basis=None, pt_basis=None, families=(), pt_families=()) -> CatalogEntry:
+    """Entry of the state ``numerator / denominator`` on C^3 (x) C^3, with its range bases and families when given."""
     exact = _integers(numerator)
     return CatalogEntry(
         name=name,
@@ -153,6 +162,8 @@ def _integer_entry(name: str, numerator, denominator: int, basis=None, pt_basis=
         denominator=denominator,
         range_basis=None if basis is None else _integers(basis),
         pt_range_basis=None if pt_basis is None else _integers(pt_basis),
+        range_families=families,
+        pt_range_families=pt_families,
     )
 
 
@@ -167,57 +178,7 @@ def _separable_sample() -> CatalogEntry:
         mat += np.outer(v, v.conj())
     mat /= _SEPARABLE_TERMS
     mat = (mat + mat.conj().T) / 2
-    return CatalogEntry(
-        name="separable_sample",
-        state=BipartiteOperator(mat, 3, 3),
-        exact=None,
-        denominator=1,
-        range_basis=None,
-        pt_range_basis=None,
-    )
-
-
-# name -> builder, in catalog order
-_BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
-    "rho_5_5": partial(_integer_entry, "rho_5_5", _RHO_5_5_NUM, 13, _RANGE_BASIS_5_5, _PT_RANGE_BASIS_5_5),
-    "rho_6_6": partial(_integer_entry, "rho_6_6", _RHO_6_6_NUM, 13, _RANGE_BASIS_6_6, _PT_RANGE_BASIS_6_6),
-    "max_mixed": partial(_integer_entry, "max_mixed", np.eye(9, dtype=np.int64), 9),
-    # the projector onto |00> + |11> + |22>, over 3
-    "max_entangled": partial(_integer_entry, "max_entangled", np.outer(*2 * [np.eye(3, dtype=np.int64).ravel()]), 3),
-    "separable_sample": _separable_sample,
-}
-CATALOG_NAMES = tuple(_BUILDERS)
-
-
-@cache
-def _built(name: str) -> CatalogEntry:
-    return _BUILDERS[name]()
-
-
-def entries() -> tuple[CatalogEntry, ...]:
-    return tuple(get(name) for name in CATALOG_NAMES)
-
-
-def get(name: str) -> CatalogEntry:
-    """The named entry; entries are frozen with read-only arrays, so each is built once and shared."""
-    if name not in CATALOG_NAMES:
-        raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(CATALOG_NAMES)}")
-    return _built(name)
-
-
-def rho_5_5() -> CatalogEntry:
-    """The rank-(5,5) PPT entangled edge state, exact entries over 13: the cached ``get("rho_5_5")``."""
-    return get("rho_5_5")
-
-
-def rho_6_6() -> CatalogEntry:
-    """The rank-(6,6) PPT entangled edge state, exact entries over 13: the cached ``get("rho_6_6")``."""
-    return get("rho_6_6")
-
-
-def reference_states() -> tuple[CatalogEntry, ...]:
-    """Sanity corpus, the cached entries: maximally mixed, maximally entangled, seeded separable mixture."""
-    return tuple(get(name) for name in ("max_mixed", "max_entangled", "separable_sample"))
+    return CatalogEntry(name="separable_sample", state=BipartiteOperator(mat, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -309,28 +270,46 @@ def _f55pt_case_2(t: complex, v: complex, x: complex) -> ProductVector:
     return ProductVector(np.array([0.0, t, v]), np.array([x, 0.0, z]))
 
 
-_FAMILIES: dict[str, tuple[ProductVectorFamily, ...]] = {
-    "rho_5_5": (
-        ProductVectorFamily("case_1_1", 2, ((1, 1), (1, 2), (2, -1), (1j, 1)), _f55_case_1_1),
-        ProductVectorFamily("case_2_1", 2, ((1, 1), (1, 1j), (-2, 3)), _f55_case_2_1),
-        ProductVectorFamily("case_2_2_1", 2, ((1, 1), (1j, 2), (3, -1)), _f55_case_2_2_1),
+# the product-vector families in rho_5_5's range and in its PT range
+_PRODUCTS_5_5 = (
+    ProductVectorFamily("case_1_1", 2, ((1, 1), (1, 2), (2, -1), (1j, 1)), _f55_case_1_1),
+    ProductVectorFamily("case_2_1", 2, ((1, 1), (1, 1j), (-2, 3)), _f55_case_2_1),
+    ProductVectorFamily("case_2_2_1", 2, ((1, 1), (1j, 2), (3, -1)), _f55_case_2_2_1),
+)
+
+_PT_PRODUCTS_5_5 = (
+    ProductVectorFamily("case_1_1", 2, ((1, 1), (1, 1j), (2, -1)), _f55pt_case_1_1),
+    ProductVectorFamily("case_1_2_1", 2, ((1, 1), (1, -1), (1j, 2)), _f55pt_case_1_2_1),
+    ProductVectorFamily("case_1_2_2", 2, ((1, 1), (1, 1j), (-1, 2)), _f55pt_case_1_2_2),
+    ProductVectorFamily("case_2", 3, ((1, 2, 1), (1, 1j, 1), (2, -1, 1j)), _f55pt_case_2),
+)
+
+
+# name -> builder, in catalog order
+_BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
+    "rho_5_5": partial(
+        _integer_entry, "rho_5_5", _RHO_5_5_NUM, 13, _RANGE_BASIS_5_5, _PT_RANGE_BASIS_5_5, _PRODUCTS_5_5, _PT_PRODUCTS_5_5
     ),
-    "rho_5_5_pt": (
-        ProductVectorFamily("case_1_1", 2, ((1, 1), (1, 1j), (2, -1)), _f55pt_case_1_1),
-        ProductVectorFamily("case_1_2_1", 2, ((1, 1), (1, -1), (1j, 2)), _f55pt_case_1_2_1),
-        ProductVectorFamily("case_1_2_2", 2, ((1, 1), (1, 1j), (-1, 2)), _f55pt_case_1_2_2),
-        ProductVectorFamily("case_2", 3, ((1, 2, 1), (1, 1j, 1), (2, -1, 1j)), _f55pt_case_2),
-    ),
-    # no product vector in these ranges admits a conjugate partner; the ranges
-    # are checked through their linear constraints instead of through families
-    "rho_6_6": (),
-    "rho_6_6_pt": (),
+    "rho_6_6": partial(_integer_entry, "rho_6_6", _RHO_6_6_NUM, 13, _RANGE_BASIS_6_6, _PT_RANGE_BASIS_6_6),
+    "max_mixed": partial(_integer_entry, "max_mixed", np.eye(9, dtype=np.int64), 9),
+    # the projector onto |00> + |11> + |22>, over 3
+    "max_entangled": partial(_integer_entry, "max_entangled", np.outer(*2 * [np.eye(3, dtype=np.int64).ravel()]), 3),
+    "separable_sample": _separable_sample,
 }
+CATALOG_NAMES = tuple(_BUILDERS)
 
 
-def range_families(name: str) -> tuple[ProductVectorFamily, ...]:
-    """Product-vector families known to lie in the named range."""
-    try:
-        return _FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown range name {name!r}; known: {', '.join(_FAMILIES)}") from None
+@cache
+def _built(name: str) -> CatalogEntry:
+    return _BUILDERS[name]()
+
+
+def entries() -> tuple[CatalogEntry, ...]:
+    return tuple(get(name) for name in CATALOG_NAMES)
+
+
+def get(name: str) -> CatalogEntry:
+    """The named entry; entries are frozen with read-only arrays, so each is built once and shared."""
+    if name not in CATALOG_NAMES:
+        raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    return _built(name)

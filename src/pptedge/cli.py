@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, catalog, criteria, linalg, witness as witness_mod
+from . import __version__, catalog, criteria, witness as witness_mod
 from .bipartite import BipartiteOperator, schmidt_coefficients, validate_density
 from .exceptions import InvalidStateError, MatrixFileError, NotApplicableError
 from .optimize import SeeSawConfig, min_schmidt2_expectation
@@ -160,9 +160,8 @@ def _rank_block(op: BipartiteOperator, entry: catalog.CatalogEntry | None, args:
         "rank": op.spectrum.rank(args.tol_eig),
         "pt_rank": op.pt.spectrum.rank(args.tol_eig),
     }
-    if entry is not None and entry.exact is not None:
-        block["exact_rank"] = linalg.exact_rank(entry.exact)
-        block["exact_pt_rank"] = linalg.exact_rank(entry.exact_pt)
+    if entry is not None and entry.exact_ranks is not None:
+        block["exact_rank"], block["exact_pt_rank"] = entry.exact_ranks
     return block
 
 
@@ -198,7 +197,12 @@ def _witness_metadata(w: witness_mod.Witness, value: float, args: argparse.Names
 
 
 def _witness_summary(w: witness_mod.Witness, op: BipartiteOperator, args: argparse.Namespace) -> dict:
-    summary = _witness_metadata(w, witness_mod.evaluate(w.operator, op), args)
+    """The witness's metadata and its Schmidt-rank-2 minimum; a skip, with no search, when Tr(W rho) >= 0."""
+    value = witness_mod.evaluate(w.operator, op)
+    summary = _witness_metadata(w, value, args)
+    if value >= 0:
+        reason = f"Tr(W rho) = {value:.6e} >= 0 at --tol-eig {args.tol_eig:g}: the witness does not detect the state"
+        return {"skipped": reason, **summary}
     summary["schmidt2_best_value"] = min_schmidt2_expectation(w.operator, _config(args)).best_value
     return summary
 
@@ -229,15 +233,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         w1 = witness_mod.kernel_witness(edge)
         summaries["kernel"] = _witness_summary(w1, op, args)
     except NotApplicableError as exc:
-        w1 = None
         summaries["kernel"] = {"skipped": str(exc)}
     try:
         w2 = witness_mod.realignment_witness(op)
         summaries["realign"] = _witness_summary(w2, op, args)
     except NotApplicableError as exc:
-        w2 = None
         summaries["realign"] = {"skipped": str(exc)}
-    if w1 is not None and w2 is not None:
+    if not any("skipped" in summary for summary in summaries.values()):
         m1 = w1.operator.matrix / np.linalg.norm(w1.operator.matrix)
         m2 = w2.operator.matrix / np.linalg.norm(w2.operator.matrix)
         summaries["normalized_distance"] = float(np.linalg.norm(m1 - m2))

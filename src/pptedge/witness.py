@@ -10,7 +10,8 @@ delta and delta^T_B that the rank rule drops at the certificate's
 Tr(W delta) = N (Tr(P delta) + Tr(Q delta^T_B)) sums exactly those
 eigenvalues. At a coarser threshold the "kernels" hold eigenvectors of
 nonzero eigenvalue, Tr(W1 delta) lies above -epsilon and can be positive:
-W1 then describes the truncated state, not delta. P + Q^T_B is :func:`~pptedge.criteria.edge_operator`,
+W1 then describes the truncated state, not delta, and the command line's
+``analyze`` reports it as skipped. P + Q^T_B is :func:`~pptedge.criteria.edge_operator`,
 whose expectation <ab|P + Q^T_B|ab> is the edge objective at (a, b), so
 epsilon is N times the edge certificate's minimum by construction, exactly as
 heuristic as that minimum, and no second see-saw runs. The witness is a pure

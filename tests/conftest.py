@@ -49,12 +49,12 @@ EPS_6_6 = 3.4352469274473717e-4
 
 @pytest.fixture(scope="session")
 def rho55() -> catalog.CatalogEntry:
-    return catalog.rho_5_5()
+    return catalog.get("rho_5_5")
 
 
 @pytest.fixture(scope="session")
 def rho66() -> catalog.CatalogEntry:
-    return catalog.rho_6_6()
+    return catalog.get("rho_6_6")
 
 
 @pytest.fixture(scope="session")

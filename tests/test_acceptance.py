@@ -42,7 +42,7 @@ def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def entries():
-    return catalog.rho_5_5(), catalog.rho_6_6()
+    return catalog.get("rho_5_5"), catalog.get("rho_6_6")
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +60,9 @@ def test_criterion_01_exact_ranks(entries):
     r55, r66 = entries
     values = (
         linalg.exact_rank(r55.exact),
-        linalg.exact_rank(r55.exact_pt),
+        linalg.exact_rank(transpose_b(r55.exact, 3, 3)),
         linalg.exact_rank(r66.exact),
-        linalg.exact_rank(r66.exact_pt),
+        linalg.exact_rank(transpose_b(r66.exact, 3, 3)),
     )
     elapsed = time.perf_counter() - start
     ok = values == (5, 5, 6, 6) and elapsed < 1.0
@@ -103,9 +103,9 @@ def test_criterion_04_realignment_violation(entries):
 def test_criterion_05_range_fixtures(entries):
     r55, r66 = entries
     ok = True
-    for range_name, basis in (("rho_5_5", r55.range_basis), ("rho_5_5_pt", r55.pt_range_basis)):
+    for families, basis in ((r55.range_families, r55.range_basis), (r55.pt_range_families, r55.pt_range_basis)):
         p = helpers.row_space_projector(basis)
-        for family in catalog.range_families(range_name):
+        for family in families:
             residuals = [linalg.residual_norm(pv.tensor(), p) for pv in family.samples(100, seed=17)]
             ok &= max(residuals) < 1e-10
     for entry in (r55, r66):

@@ -9,7 +9,7 @@ import pytest
 import helpers
 from conftest import PT_5_5_NUM, PT_6_6_NUM
 from pptedge import catalog, linalg
-from pptedge.bipartite import BipartiteOperator, ProductVector
+from pptedge.bipartite import BipartiteOperator, ProductVector, transpose_b
 from pptedge.criteria import is_ppt
 
 
@@ -41,7 +41,7 @@ def test_numerators_symmetric(rho55, rho66):
 
 def test_exact_pt_matches_printed_tables(rho55, rho66):
     for entry, printed in ((rho55, PT_5_5_NUM), (rho66, PT_6_6_NUM)):
-        got = entry.exact_pt
+        got = transpose_b(entry.exact, 3, 3)
         for i in range(9):
             for j in range(9):
                 assert got[i, j] == Fraction(int(printed[i, j]))
@@ -50,7 +50,7 @@ def test_exact_pt_matches_printed_tables(rho55, rho66):
 def test_expected_ranks(rho55, rho66):
     # the paper's claim (m, n), exactly and by the spectral rule at its default tolerance
     for entry, rank in ((rho55, 5), (rho66, 6)):
-        assert (linalg.exact_rank(entry.exact), linalg.exact_rank(entry.exact_pt)) == (rank, rank)
+        assert (linalg.exact_rank(entry.exact), linalg.exact_rank(transpose_b(entry.exact, 3, 3))) == (rank, rank)
         assert (entry.state.spectrum.rank(), entry.state.pt.spectrum.rank()) == (rank, rank)
 
 
@@ -75,7 +75,7 @@ def test_range_bases_span_the_ranges_exactly(name, rank):
     # a real symmetric N has its rows spanning its range, so an integer B spans that range
     # exactly when rank N == rank B == rank [N; B]
     entry = catalog.get(name)
-    for num, basis in ((entry.exact, entry.range_basis), (entry.exact_pt, entry.pt_range_basis)):
+    for num, basis in ((entry.exact, entry.range_basis), (transpose_b(entry.exact, 3, 3), entry.pt_range_basis)):
         assert np.array_equal(num, num.T)
         assert basis.dtype == np.int64 and basis.shape == (rank, 9) and not basis.flags.writeable
         assert linalg.exact_rank(num) == linalg.exact_rank(basis) == linalg.exact_rank(np.vstack([num, basis])) == rank
@@ -99,14 +99,17 @@ def test_first_basis_vector_orthogonal_to_5_5_range(rho55):
     [("rho_5_5", "rho"), ("rho_5_5_pt", "pt")],
 )
 def test_families_lie_in_their_ranges(rho55, range_name, which):
-    p = helpers.row_space_projector(rho55.range_basis if which == "rho" else rho55.pt_range_basis)
-    for family in catalog.range_families(range_name):
+    families, basis = (
+        (rho55.range_families, rho55.range_basis) if which == "rho" else (rho55.pt_range_families, rho55.pt_range_basis)
+    )
+    p = helpers.row_space_projector(basis)
+    for family in families:
         for pv in family.samples(100, seed=3):
             assert linalg.residual_norm(pv.tensor(), p) < 1e-10, (range_name, family.name)
 
 
 def test_family_case_1_1_spec_point(rho55):
-    pv = catalog.range_families("rho_5_5")[0].make(1.0, 1.0)
+    pv = rho55.range_families[0].make(1.0, 1.0)
     expect_a = np.array([1.0, 0.0, -0.5])
     expect_b = np.array([0.0, 1.0, 1.0])
     assert np.allclose(pv.a, expect_a / np.linalg.norm(expect_a))
@@ -115,7 +118,7 @@ def test_family_case_1_1_spec_point(rho55):
 
 
 def test_family_pt_case_1_2_1_spec_point(rho55):
-    family = next(f for f in catalog.range_families("rho_5_5_pt") if f.name == "case_1_2_1")
+    family = next(f for f in rho55.pt_range_families if f.name == "case_1_2_1")
     pv = family.make(1.0, 1.0)
     assert np.allclose(pv.a, [1.0, 0.0, 0.0])
     # compare up to the construction's phase normalization
@@ -125,14 +128,14 @@ def test_family_pt_case_1_2_1_spec_point(rho55):
 
 
 def test_family_case_2_2_1_spec_point(rho55):
-    family = next(f for f in catalog.range_families("rho_5_5") if f.name == "case_2_2_1")
+    family = next(f for f in rho55.range_families if f.name == "case_2_2_1")
     pv = family.make(1.0, 1.0)
     assert np.allclose(pv.a, [0.0, 1.0, 0.0])
     assert np.allclose(pv.b, [1.0, 0.0, 0.0])
 
 
-def test_family_pt_case_2_constraint():
-    family = next(f for f in catalog.range_families("rho_5_5_pt") if f.name == "case_2")
+def test_family_pt_case_2_constraint(rho55):
+    family = next(f for f in rho55.pt_range_families if f.name == "case_2")
     t, v, x = 1.0 + 0.5j, -2.0 + 1.0j, 0.7 - 0.2j
     pv = family.make(t, v, x)
     # b is normalized and phase-rotated, so compare the scale-free ratio z / x
@@ -142,24 +145,23 @@ def test_family_pt_case_2_constraint():
     assert abs(ratio_a - v / t) < 1e-12
 
 
-def test_family_degenerate_parameters_rejected():
+def test_family_degenerate_parameters_rejected(rho55):
     with pytest.raises(ValueError):
-        catalog.range_families("rho_5_5")[0].make(1.0, -1.0)  # y + z = 0
+        rho55.range_families[0].make(1.0, -1.0)  # y + z = 0
     with pytest.raises(ValueError):
-        catalog.range_families("rho_5_5_pt")[3].make(1.0, 1.0, 1.0)  # v = t
+        rho55.pt_range_families[3].make(1.0, 1.0, 1.0)  # v = t
     with pytest.raises(ValueError):
-        catalog.range_families("rho_5_5")[0].make(1.0)  # wrong arity
+        rho55.range_families[0].make(1.0)  # wrong arity
 
 
-def test_range_families_lookup():
-    assert catalog.range_families("rho_6_6") == ()
-    assert catalog.range_families("rho_6_6_pt") == ()
-    with pytest.raises(ValueError):
-        catalog.range_families("nonsense")
+def test_every_entry_carries_its_range_families():
+    # only rho_5_5's ranges hold known families; rho_6_6's hold no product vector with a partner
+    counts = {e.name: (len(e.range_families), len(e.pt_range_families)) for e in catalog.entries()}
+    assert counts == {name: (3, 4) if name == "rho_5_5" else (0, 0) for name in catalog.CATALOG_NAMES}
 
 
-def test_family_samples_deterministic():
-    family = catalog.range_families("rho_5_5")[0]
+def test_family_samples_deterministic(rho55):
+    family = rho55.range_families[0]
     first = family.samples(20, seed=5)
     second = family.samples(20, seed=5)
     for p, q in zip(first, second):
@@ -167,8 +169,7 @@ def test_family_samples_deterministic():
 
 
 def test_reference_states_labels_and_ppt():
-    refs = {e.name: e for e in catalog.reference_states()}
-    assert set(refs) == {"max_mixed", "max_entangled", "separable_sample"}
+    refs = {name: catalog.get(name) for name in ("max_mixed", "max_entangled", "separable_sample")}
     assert is_ppt(refs["max_mixed"].state).verdict == "pass"
     report = is_ppt(refs["max_entangled"].state)
     assert report.verdict == "violated"
@@ -209,13 +210,15 @@ def test_get_is_cached_and_every_entry_array_is_read_only():
 
 
 def test_every_accessor_returns_the_one_cached_build(monkeypatch):
-    # a fresh cache, so this test sees the builds it triggers
-    monkeypatch.setattr(catalog, "_built", functools.cache(catalog._built.__wrapped__))
-    assert catalog.rho_5_5() is catalog.get("rho_5_5")
-    assert catalog.rho_6_6() is catalog.get("rho_6_6")
-    refs = catalog.reference_states()
-    assert [e.name for e in refs] == ["max_mixed", "max_entangled", "separable_sample"]
-    assert all(e is catalog.get(e.name) for e in refs)
+    # a fresh, counted cache, so this test sees the builds it triggers
+    builds = []
+    build = catalog._built.__wrapped__
+    monkeypatch.setattr(catalog, "_built", functools.cache(lambda name: builds.append(name) or build(name)))
+    listed = catalog.entries()
+    assert [e.name for e in listed] == list(catalog.CATALOG_NAMES)
+    assert all(e is catalog.get(e.name) for e in listed)
+    assert all(a is b for a, b in zip(catalog.entries(), listed))
+    assert builds == list(catalog.CATALOG_NAMES)
     # so the spectra cached on a state are built once too, whichever accessor reads them
     eighs = []
     eigh = np.linalg.eigh
@@ -225,8 +228,26 @@ def test_every_accessor_returns_the_one_cached_build(monkeypatch):
         return eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    assert catalog.rho_5_5().state.pt.spectrum is catalog.rho_5_5().state.pt.spectrum
+    assert catalog.get("rho_5_5").state.pt.spectrum is catalog.entries()[0].state.pt.spectrum
     assert eighs == [(9, 9)]
+
+
+def test_exact_ranks_are_the_paper_ranks_and_none_without_exact_data():
+    expected = {"rho_5_5": (5, 5), "rho_6_6": (6, 6), "max_mixed": (9, 9), "max_entangled": (1, 9), "separable_sample": None}
+    assert {e.name: e.exact_ranks for e in catalog.entries()} == expected
+    assert catalog.get("rho_5_5").exact_ranks == (5, 5)
+    assert catalog.get("rho_6_6").exact_ranks == (6, 6)
+
+
+def test_exact_ranks_are_computed_on_first_read_only(monkeypatch):
+    calls = []
+    exact_rank = linalg.exact_rank
+    monkeypatch.setattr(linalg, "exact_rank", lambda m: calls.append(m.shape) or exact_rank(m))
+    entry = catalog._built.__wrapped__("rho_5_5")  # a fresh build, outside the cache
+    assert calls == []
+    assert entry.exact_ranks == (5, 5)
+    assert entry.exact_ranks is entry.exact_ranks
+    assert calls == [(9, 9), (9, 9)]
 
 
 def test_separable_product_vectors_compose_the_sample():

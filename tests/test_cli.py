@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -360,7 +361,7 @@ def _state_file(tmp_path, name: str, matrix: np.ndarray, dims: tuple[int, int] =
 def _barely_npt_file(tmp_path) -> str:
     """rho_5_5 with 1e-7 of the maximally entangled projector: its partial transpose has eigenvalue -1.9e-8."""
     v = helpers.max_entangled_vector(3)
-    rho = (1 - 1e-7) * catalog.rho_5_5().state.matrix + 1e-7 * np.outer(v, v.conj())
+    rho = (1 - 1e-7) * catalog.get("rho_5_5").state.matrix + 1e-7 * np.outer(v, v.conj())
     return _state_file(tmp_path, "barely_npt", rho)
 
 
@@ -408,7 +409,7 @@ _SEE_SAW_STATS = {"restarts_run", "restart_min", "restart_median", "restart_max"
 @pytest.mark.parametrize("name", ["max_mixed", "separable_sample", "noisy_rho_5_5"])
 def test_certify_edge_full_range_is_exact(tmp_path, monkeypatch, capsys, name):
     if name == "noisy_rho_5_5":
-        noisy = 0.9 * catalog.rho_5_5().state.matrix + 0.1 * np.eye(9) / 9
+        noisy = 0.9 * catalog.get("rho_5_5").state.matrix + 0.1 * np.eye(9) / 9
         name = _state_file(tmp_path, name, noisy)
     see_saws = _count_calls(monkeypatch, "min_generic_quadratic")
     payload = _run_json(capsys, ["certify-edge", name, *FAST])
@@ -469,7 +470,7 @@ def test_analyze_decomposes_each_matrix_once(tmp_path, monkeypatch, capsys, name
 
     v = helpers.max_entangled_vector(3)
     matrix = {
-        "full_rank_ppt": 0.9 * catalog.rho_5_5().state.matrix + 0.1 * np.eye(9) / 9,
+        "full_rank_ppt": 0.9 * catalog.get("rho_5_5").state.matrix + 0.1 * np.eye(9) / 9,
         "npt": np.outer(v, v.conj()),
         "non_psd": _non_psd_matrix(),
     }[name]
@@ -507,7 +508,7 @@ def test_utf8_file_reads_under_an_ascii_locale(tmp_path):
 )
 def test_analyze_file_makes_one_svd(tmp_path, monkeypatch, capsys, name, noise, verdict):
     # the reported realignment verdict is the witness's gate, and W2 is built from the same cached SVD of R(rho)
-    matrix = (1.0 - noise) * catalog.rho_5_5().state.matrix + noise * np.eye(9) / 9
+    matrix = (1.0 - noise) * catalog.get("rho_5_5").state.matrix + noise * np.eye(9) / 9
     path = _state_file(tmp_path, name, matrix)
     calls = []
     original = np.linalg.svd
@@ -536,6 +537,32 @@ def test_analyze_catalog_state_decomposes_once_per_process(monkeypatch, capsys):
     assert solves == []
 
 
+def test_analyze_catalog_state_computes_exact_ranks_once_per_process(monkeypatch, capsys):
+    # the exact ranks of an entry never change, so two analyses of a fresh entry compute them once
+    monkeypatch.setattr(catalog, "_built", functools.cache(catalog._built.__wrapped__))
+    calls = []
+    exact_rank = linalg.exact_rank
+    monkeypatch.setattr(linalg, "exact_rank", lambda m: calls.append(np.shape(m)) or exact_rank(m))
+    for _ in range(2):
+        report = _run_json(capsys, ["analyze", "rho_5_5", *FAST])
+        assert report["ranks"] == {"rank": 5, "pt_rank": 5, "exact_rank": 5, "exact_pt_rank": 5}
+    assert calls == [(9, 9), (9, 9)]
+
+
+def test_analyze_skips_a_kernel_witness_that_does_not_detect_its_state(monkeypatch, capsys):
+    # at --tol-eig 0.3 the eigenvalues dropped from rho are not zero and Tr(W1 rho) > 0: W1 is reported
+    # as skipped, with that value, and only W2 goes on to a Schmidt-rank-2 search
+    searches = _count_calls(monkeypatch, "min_schmidt2_expectation")
+    report = _run_json(capsys, ["analyze", "rho_5_5", "--tol-eig", "0.3", *FAST])
+    kernel = report["witnesses"]["kernel"]
+    assert kernel["skipped"].startswith(f"Tr(W rho) = {kernel['trace_with_state']:.6e} >= 0 at --tol-eig 0.3")
+    assert set(kernel) == {"skipped", "method", "source", "trace_with_state", "epsilon", "normalization"}
+    assert kernel["trace_with_state"] > 0.0
+    assert "schmidt2_best_value" in report["witnesses"]["realign"]
+    assert "normalized_distance" not in report["witnesses"]
+    assert len(searches) == 1
+
+
 @pytest.mark.parametrize(
     "name,tol_eig,rank", [("rho_5_5", "1e-9", 5), ("rho_5_5", "0.3", 3), ("rho_6_6", "1e-9", 6), ("rho_6_6", "0.3", 4)]
 )
@@ -553,7 +580,7 @@ def test_kernel_witness_normalization_agrees_with_reported_ranks(capsys, name, t
     if rank in (5, 6):
         assert abs(kernel["trace_with_state"] + kernel["epsilon"]) < 1e-12
     else:
-        assert kernel["epsilon"] > 0.0 and kernel["trace_with_state"] > 0.0
+        assert kernel["epsilon"] > 0.0 and kernel["trace_with_state"] > 0.0 and "skipped" in kernel
 
 
 @pytest.mark.parametrize("weight,tol_eig,rank", [(0.0, "1e-9", 4), (1e-7, "1e-9", 5), (1e-7, "1e-5", 4)])
@@ -596,7 +623,7 @@ def test_invalid_state_messages(tmp_path, capsys, name, message):
 
 
 def test_a_file_state_is_named_by_its_path(tmp_path, capsys):
-    path = _state_file(tmp_path, "edge", catalog.rho_5_5().state.matrix)
+    path = _state_file(tmp_path, "edge", catalog.get("rho_5_5").state.matrix)
     report = _run_json(capsys, ["analyze", path, *FAST])
     assert report["state"] == path
     assert report["edge"]["state"] == path

@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from pptedge import linalg
+from pptedge.bipartite import transpose_b
 
 
 def _eig(m) -> tuple[np.ndarray, np.ndarray]:
@@ -95,15 +96,15 @@ def test_numeric_rank_counts_negative_eigenvalues():
 
 def test_exact_rank_catalog(rho55, rho66):
     assert linalg.exact_rank(rho55.exact) == 5
-    assert linalg.exact_rank(rho55.exact_pt) == 5
+    assert linalg.exact_rank(transpose_b(rho55.exact, 3, 3)) == 5
     assert linalg.exact_rank(rho66.exact) == 6
-    assert linalg.exact_rank(rho66.exact_pt) == 6
+    assert linalg.exact_rank(transpose_b(rho66.exact, 3, 3)) == 6
 
 
 def test_exact_matches_numeric_rank_on_catalog(rho55, rho66):
     for entry in (rho55, rho66):
         assert linalg.exact_rank(entry.exact) == linalg.Spectrum.of(entry.state.matrix).rank()
-        assert linalg.exact_rank(entry.exact_pt) == linalg.Spectrum.of(entry.state.pt.matrix).rank()
+        assert linalg.exact_rank(transpose_b(entry.exact, 3, 3)) == linalg.Spectrum.of(entry.state.pt.matrix).rank()
 
 
 def test_exact_rank_trivial():

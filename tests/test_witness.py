@@ -158,7 +158,7 @@ def test_realignment_witness_requires_violation():
 def realignment_detected():
     """rho_5_5, rho_6_6 and 5 seeded NPT states whose realigned trace norm, by the dilation oracle, exceeds 1."""
     rng = np.random.default_rng(2024)
-    states = [catalog.rho_5_5().state, catalog.rho_6_6().state]
+    states = [catalog.get("rho_5_5").state, catalog.get("rho_6_6").state]
     while len(states) < 7:
         g = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
         g[:, rng.integers(1, 4) :] = 0.0  # rank 1 to 3
