@@ -16,6 +16,10 @@ The certification minimizes
 over all product vectors with a multistart see-saw. A strictly positive
 minimum (heuristic, no global certificate) is the edge evidence; for a
 separable state the objective reaches zero at one of its product components.
+The catalog's separable_sample is the sum of nine integer product projectors
+(a a^T) (x) (b b^T), with exact ranks (9, 9): both of its ranges are the
+whole space, so every product vector and its partner lie in them, and the
+verdict "not edge" is exact, with minimum 0 and no see-saw.
 """
 
 from pptedge import SeeSawConfig, catalog, certify_edge, residual_norm
@@ -26,7 +30,7 @@ r55 = catalog.get("rho_5_5")
 p_range, p_pt_range = r55.state.spectrum.range_projector(), r55.state.pt.spectrum.range_projector()
 print("product-vector families inside range(rho_5_5):")
 for family in r55.range_families:
-    pv = family.samples(1, seed=2)[0]
+    pv = family.make(*family.grid[0])
     in_range = residual_norm(pv.tensor(), p_range)
     partner_miss = residual_norm(pv.conjugate_partner(), p_pt_range)
     total = in_range**2 + partner_miss**2

@@ -51,8 +51,8 @@ class BipartiteOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def is_hermitian(self, atol: float = linalg.HERMITIAN_ATOL) -> bool:
-        return linalg.is_hermitian(self.matrix, atol)
+    def is_hermitian(self) -> bool:
+        return linalg.is_hermitian(self.matrix)
 
     @cached_property
     def spectrum(self) -> linalg.Spectrum:

@@ -1,11 +1,16 @@
 """Built-in states: two PPT-entangled edge states plus reference states.
 
-The flagship entries are a rank-(5,5) and a rank-(6,6) PPT entangled state
-on C^3 (x) C^3. Both are stored as integer numerator tables over the common
-denominator 13, so exact rank computations and bit-exact partial-transpose
-comparisons never touch floating point. Each entry also carries an exact
-integer basis of its range and of the range of its partial transpose,
-derived from the linear form that vectors in those ranges must take:
+Every entry is an exact integer table: a numerator matrix whose trace is its
+common denominator, so exact ranks and the transpose on party B never touch
+floating point. The flagship entries are a rank-(5,5) and a rank-(6,6) PPT
+entangled state on C^3 (x) C^3, both over 13. The reference entries are the
+maximally mixed state (over 9), the maximally entangled projector (over 3)
+and ``separable_sample`` (over 28): the sum of (a a^T) (x) (b b^T) over nine
+fixed pairs of small real integer vectors, so it is separable by
+construction, exactly, of exact ranks (9, 9), and not a product of its
+marginals. The flagship entries also carry an exact integer basis of their
+range and of the range of rho^T_B, derived from the linear form that
+vectors in those ranges must take:
 
 * rho_5_5 range:      (0, A, -E-F, C, 0, D, D, E, F)
 * rho_5_5 PT range:   (0, A, B, C, 0, D, E, A+2B, -A-2B+C+D+E)
@@ -18,16 +23,17 @@ takes; the exact data serve exact checks.
 
 A :class:`CatalogEntry` is the one record of what is known about its state:
 the exact numerators, the range bases, the product-vector families in the
-two ranges and, computed on first read, the exact ranks. Entries are read
-through :func:`get` or :func:`entries` only. Each is built once per process,
-on first use, and shared, so the spectra and exact ranks cached on it are
-also computed once, whichever caller reads them.
+two ranges and, computed on first read, the state and the exact ranks.
+Entries are read through :func:`get` or :func:`entries` only. Each is built
+once per process, on first use, from its row of one table of integer data,
+and shared, so the spectra and exact ranks cached on it are also computed
+once, whichever caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -102,8 +108,12 @@ _PT_RANGE_BASIS_6_6 = (
     (0, 0, 0, 0, 0, 0, 0, 0, 1),    # F
 )
 
-_SEPARABLE_SEED = 7
-_SEPARABLE_TERMS = 20
+# separable_sample's product vectors (a, b): the state is the sum of (a a^T) (x) (b b^T) over them
+_SAMPLE_PAIRS = (
+    ((1, 0, 0), (1, 0, 1)), ((0, 1, 0), (0, 1, 0)), ((0, 0, 1), (1, 1, 1)),
+    ((1, 1, 0), (0, 0, 1)), ((0, 1, 1), (1, -1, 0)), ((1, 0, 1), (1, 1, 0)),
+    ((1, 1, 1), (0, 1, -1)), ((1, -1, 0), (0, 1, 1)), ((0, 1, -1), (1, 0, 0)),
+)
 
 
 @dataclass(frozen=True)
@@ -111,13 +121,12 @@ class CatalogEntry:
     """A named state together with everything known about it exactly.
 
     ``exact`` holds the integer numerator matrix, a read-only ``int64``
-    array, and ``denominator`` its common denominator, so
-    ``state.matrix == exact / denominator`` entrywise whenever ``exact`` is
-    present. ``range_basis`` and ``pt_range_basis`` are read-only ``int64``
-    (k x 9) arrays whose rows span the range of the state and of its partial
-    transpose; reference entries without a useful exact description carry
-    ``None`` there. They are data for exact checks only: ranks and range
-    projectors come from the state's spectrum, as for any other state.
+    array whose trace is the common ``denominator``, and ``state`` is
+    ``exact / denominator``, built on first read. ``range_basis`` and
+    ``pt_range_basis`` are read-only ``int64`` (k x 9) arrays whose rows span
+    the range of the state and of rho^T_B; reference entries carry ``None``
+    there. They are data for exact checks only: ranks and range projectors
+    come from the state's spectrum, as for any other state.
 
     ``range_families`` and ``pt_range_families`` are the known families of
     product vectors in those two ranges. Only rho_5_5 has any: no product
@@ -126,23 +135,33 @@ class CatalogEntry:
     """
 
     name: str
-    state: BipartiteOperator
-    exact: np.ndarray | None = None
-    denominator: int = 1
+    exact: np.ndarray
     range_basis: np.ndarray | None = None
     pt_range_basis: np.ndarray | None = None
     range_families: tuple[ProductVectorFamily, ...] = ()
     pt_range_families: tuple[ProductVectorFamily, ...] = ()
 
+    @property
+    def denominator(self) -> int:
+        """The trace of ``exact``: every state has unit trace."""
+        return int(self.exact.trace())
+
     @cached_property
-    def exact_ranks(self) -> tuple[int, int] | None:
-        """Exact ranks of ``exact`` and of its partial transpose, computed on first read; None without exact data."""
-        if self.exact is None:
-            return None
-        return (
-            linalg.exact_rank(self.exact),
-            linalg.exact_rank(transpose_b(self.exact, self.state.dim_a, self.state.dim_b)),
-        )
+    def state(self) -> BipartiteOperator:
+        """The state ``exact / denominator`` on C^3 (x) C^3, built on first read."""
+        return BipartiteOperator(self.exact / self.denominator, 3, 3)
+
+    @cached_property
+    def exact_ranks(self) -> tuple[int, int]:
+        """Exact ranks of ``exact`` and of its transpose on party B, computed on first read."""
+        return linalg.exact_rank(self.exact), linalg.exact_rank(transpose_b(self.exact, 3, 3))
+
+
+def _product_sum(pairs) -> np.ndarray:
+    """Sum of (a a^T) (x) (b b^T) over integer pairs (a, b): V^T V, where row t of V is a_t (x) b_t."""
+    ab = np.array(pairs, dtype=np.int64)
+    v = (ab[:, 0, :, None] * ab[:, 1, None, :]).reshape(len(ab), -1)
+    return v.T @ v
 
 
 def _integers(rows) -> np.ndarray:
@@ -152,33 +171,16 @@ def _integers(rows) -> np.ndarray:
     return out
 
 
-def _integer_entry(name: str, numerator, denominator: int, basis=None, pt_basis=None, families=(), pt_families=()) -> CatalogEntry:
-    """Entry of the state ``numerator / denominator`` on C^3 (x) C^3, with its range bases and families when given."""
-    exact = _integers(numerator)
+def _integer_entry(name: str, numerator, basis=None, pt_basis=None, families=(), pt_families=()) -> CatalogEntry:
+    """Entry of the integer table ``numerator``, with its range bases and families when given."""
     return CatalogEntry(
         name=name,
-        state=BipartiteOperator(exact / denominator, 3, 3),
-        exact=exact,
-        denominator=denominator,
+        exact=_integers(numerator),
         range_basis=None if basis is None else _integers(basis),
         pt_range_basis=None if pt_basis is None else _integers(pt_basis),
         range_families=families,
         pt_range_families=pt_families,
     )
-
-
-def _separable_sample() -> CatalogEntry:
-    """Fixed seeded mixture of 20 product states; PPT and full rank by construction."""
-    rng = np.random.default_rng(_SEPARABLE_SEED)
-    mat = np.zeros((9, 9), dtype=complex)
-    for _ in range(_SEPARABLE_TERMS):
-        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        mat += np.outer(v, v.conj())
-    mat /= _SEPARABLE_TERMS
-    mat = (mat + mat.conj().T) / 2
-    return CatalogEntry(name="separable_sample", state=BipartiteOperator(mat, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +194,7 @@ class ProductVectorFamily:
 
     ``make(*params)`` builds a member from complex parameters, rejecting
     degenerate parameter choices (those that collapse to the zero vector or
-    divide by zero). ``samples`` returns deterministic members: a fixed small
-    grid first, then seeded complex draws.
+    divide by zero). ``grid`` holds a few fixed parameter choices.
     """
 
     name: str
@@ -205,19 +206,6 @@ class ProductVectorFamily:
         if len(params) != self.n_params:
             raise ValueError(f"family {self.name} takes {self.n_params} parameters")
         return self._build(*params)
-
-    def samples(self, n: int = 100, seed: int = 0) -> list[ProductVector]:
-        out: list[ProductVector] = []
-        for params in self.grid[: min(n, len(self.grid))]:
-            out.append(self._build(*params))
-        rng = np.random.default_rng(seed)
-        while len(out) < n:
-            params = tuple(complex(x, y) for x, y in rng.standard_normal((self.n_params, 2)))
-            try:
-                out.append(self._build(*params))
-            except (ValueError, ZeroDivisionError):
-                continue  # degenerate draw, next one
-        return out
 
 
 def _guard_nonzero(value: complex, what: str) -> None:
@@ -285,23 +273,22 @@ _PT_PRODUCTS_5_5 = (
 )
 
 
-# name -> builder, in catalog order
-_BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
-    "rho_5_5": partial(
-        _integer_entry, "rho_5_5", _RHO_5_5_NUM, 13, _RANGE_BASIS_5_5, _PT_RANGE_BASIS_5_5, _PRODUCTS_5_5, _PT_PRODUCTS_5_5
-    ),
-    "rho_6_6": partial(_integer_entry, "rho_6_6", _RHO_6_6_NUM, 13, _RANGE_BASIS_6_6, _PT_RANGE_BASIS_6_6),
-    "max_mixed": partial(_integer_entry, "max_mixed", np.eye(9, dtype=np.int64), 9),
-    # the projector onto |00> + |11> + |22>, over 3
-    "max_entangled": partial(_integer_entry, "max_entangled", np.outer(*2 * [np.eye(3, dtype=np.int64).ravel()]), 3),
-    "separable_sample": _separable_sample,
+# name -> (numerator, range basis, rho^T_B range basis, range families, rho^T_B range families),
+# in catalog order; a reference state has only its numerator
+_TABLES = {
+    "rho_5_5": (_RHO_5_5_NUM, _RANGE_BASIS_5_5, _PT_RANGE_BASIS_5_5, _PRODUCTS_5_5, _PT_PRODUCTS_5_5),
+    "rho_6_6": (_RHO_6_6_NUM, _RANGE_BASIS_6_6, _PT_RANGE_BASIS_6_6),
+    "max_mixed": (np.eye(9, dtype=np.int64),),
+    # the projector onto |00> + |11> + |22>
+    "max_entangled": (np.outer(*2 * [np.eye(3, dtype=np.int64).ravel()]),),
+    "separable_sample": (_product_sum(_SAMPLE_PAIRS),),
 }
-CATALOG_NAMES = tuple(_BUILDERS)
+CATALOG_NAMES = tuple(_TABLES)
 
 
 @cache
 def _built(name: str) -> CatalogEntry:
-    return _BUILDERS[name]()
+    return _integer_entry(name, *_TABLES[name])
 
 
 def entries() -> tuple[CatalogEntry, ...]:

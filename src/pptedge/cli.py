@@ -13,7 +13,8 @@ blocks, the edge block, the witness metadata (with the ``--shift`` fields)
 and the Schmidt-rank-2 search.
 
 Exit codes: 0 success, 2 parse failure, 3 invalid state, 4 method not
-applicable, 5 internal numerical failure.
+applicable, 5 internal numerical failure. ``analyze`` reports each part that
+does not apply as ``{"skipped": reason}`` instead, and exits 0.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _rank_block(op: BipartiteOperator, entry: catalog.CatalogEntry | None, args:
         "rank": op.spectrum.rank(args.tol_eig),
         "pt_rank": op.pt.spectrum.rank(args.tol_eig),
     }
-    if entry is not None and entry.exact_ranks is not None:
+    if entry is not None:
         block["exact_rank"], block["exact_pt_rank"] = entry.exact_ranks
     return block
 
@@ -196,15 +197,26 @@ def _witness_metadata(w: witness_mod.Witness, value: float, args: argparse.Names
     return meta
 
 
+def _or_skipped(build: Callable, **kept):
+    """``build()``, or ``{"skipped": reason, **kept}`` when it does not apply: how ``analyze`` reports such a part."""
+    try:
+        return build()
+    except NotApplicableError as exc:
+        return {"skipped": str(exc), **kept}
+
+
 def _witness_summary(w: witness_mod.Witness, op: BipartiteOperator, args: argparse.Namespace) -> dict:
-    """The witness's metadata and its Schmidt-rank-2 minimum; a skip, with no search, when Tr(W rho) >= 0."""
+    """The witness's metadata and its Schmidt-rank-2 minimum, or the metadata and a skip when Tr(W rho) >= 0 or no search applies."""
     value = witness_mod.evaluate(w.operator, op)
-    summary = _witness_metadata(w, value, args)
+    meta = _witness_metadata(w, value, args)
     if value >= 0:
         reason = f"Tr(W rho) = {value:.6e} >= 0 at --tol-eig {args.tol_eig:g}: the witness does not detect the state"
-        return {"skipped": reason, **summary}
-    summary["schmidt2_best_value"] = min_schmidt2_expectation(w.operator, _config(args)).best_value
-    return summary
+        return {"skipped": reason, **meta}
+
+    def searched() -> dict:
+        return {**meta, "schmidt2_best_value": min_schmidt2_expectation(w.operator, _config(args)).best_value}
+
+    return _or_skipped(searched, **meta)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -217,7 +229,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "tolerances": _tolerances(args),
         "ranks": _rank_block(op, entry, args),
         "ppt": dataclasses.asdict(ppt),
-        "realignment": dataclasses.asdict(criteria.realignment_criterion(op)),
+        "realignment": _or_skipped(lambda: dataclasses.asdict(criteria.realignment_criterion(op))),
     }
     if ppt.verdict != "pass":
         reason = "state is not PPT; edge certification and witness constructions apply to PPT states"
@@ -228,20 +240,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     edge = criteria.certify_edge(op, _config(args), rel_tol=args.tol_eig, ppt_tol=args.tol_pos)
     report["edge"] = {"state": args.input, **_edge_block(edge)}
-    summaries = {}
-    try:
-        w1 = witness_mod.kernel_witness(edge)
-        summaries["kernel"] = _witness_summary(w1, op, args)
-    except NotApplicableError as exc:
-        summaries["kernel"] = {"skipped": str(exc)}
-    try:
-        w2 = witness_mod.realignment_witness(op)
-        summaries["realign"] = _witness_summary(w2, op, args)
-    except NotApplicableError as exc:
-        summaries["realign"] = {"skipped": str(exc)}
+    built = {
+        "kernel": _or_skipped(lambda: witness_mod.kernel_witness(edge)),
+        "realign": _or_skipped(lambda: witness_mod.realignment_witness(op)),
+    }
+    # a witness that was not built is already its skip
+    summaries = {name: w if isinstance(w, dict) else _witness_summary(w, op, args) for name, w in built.items()}
     if not any("skipped" in summary for summary in summaries.values()):
-        m1 = w1.operator.matrix / np.linalg.norm(w1.operator.matrix)
-        m2 = w2.operator.matrix / np.linalg.norm(w2.operator.matrix)
+        m1, m2 = (w.operator.matrix / np.linalg.norm(w.operator.matrix) for w in built.values())
         summaries["normalized_distance"] = float(np.linalg.norm(m1 - m2))
     report["witnesses"] = summaries
     _emit(args, dumps_canonical(report))

@@ -44,17 +44,18 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, atol: float = HERMITIAN_ATOL) -> bool:
+def is_hermitian(m) -> bool:
     """True when ``m`` is square and equals its conjugate transpose entrywise.
 
-    The comparison tolerance is ``atol`` scaled by max(1, largest entry
-    modulus), so integer-valued and order-one matrices are judged absolutely.
+    The comparison tolerance is ``HERMITIAN_ATOL`` scaled by max(1, largest
+    entry modulus), so integer-valued and order-one matrices are judged
+    absolutely.
     """
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
     scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
-    return float(np.abs(a - a.conj().T).max()) <= atol * scale if a.size else True
+    return float(np.abs(a - a.conj().T).max()) <= HERMITIAN_ATOL * scale if a.size else True
 
 
 def _require_hermitian(m, what: str = "matrix") -> np.ndarray:

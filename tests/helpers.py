@@ -59,13 +59,19 @@ def gauss_rank(rows) -> int:
     return rank
 
 
-def exact_row_space_projector(rows) -> np.ndarray:
-    """Orthogonal projector B^T (B B^T)^-1 B onto the span of real integer rows B, as an object array of Fractions.
+def fractions(m) -> np.ndarray:
+    """Object array of Fractions with the entries of an integer or Fraction matrix."""
+    return np.array([[Fraction(x) for x in row] for row in np.asarray(m).tolist()], dtype=object)
 
+
+def exact_coordinate_map(rows) -> np.ndarray:
+    """(B B^T)^-1 B for real integer independent rows B, as an object array of Fractions.
+
+    It maps a vector in the span of the rows to its coordinates there.
     Gauss-Jordan elimination on [B B^T | B] needs no pivoting, since the Gram
     matrix of independent rows is positive definite.
     """
-    b = np.array([[Fraction(x) for x in row] for row in np.asarray(rows).tolist()], dtype=object)
+    b = fractions(rows)
     k = b.shape[0]
     work = np.concatenate([b @ b.T, b], axis=1)
     for c in range(k):
@@ -73,7 +79,25 @@ def exact_row_space_projector(rows) -> np.ndarray:
         for i in range(k):
             if i != c:
                 work[i] = work[i] - work[i, c] * work[c]
-    return b.T @ work[:, k:]
+    return work[:, k:]
+
+
+def exact_row_space_projector(rows) -> np.ndarray:
+    """Orthogonal projector B^T (B B^T)^-1 B onto the span of real integer rows B, as an object array of Fractions."""
+    return fractions(rows).T @ exact_coordinate_map(rows)
+
+
+def family_members(family, n: int, seed: int) -> list:
+    """``n`` members of a product-vector family: its fixed grid first, then seeded complex draws."""
+    out = [family.make(*params) for params in family.grid[:n]]
+    rng = np.random.default_rng(seed)
+    while len(out) < n:
+        params = tuple(complex(x, y) for x, y in rng.standard_normal((family.n_params, 2)))
+        try:
+            out.append(family.make(*params))
+        except (ValueError, ZeroDivisionError):
+            continue  # degenerate draw, next one
+    return out
 
 
 def row_space_projector(rows) -> np.ndarray:

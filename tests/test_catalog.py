@@ -1,7 +1,11 @@
 import dataclasses
 import functools
 import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,8 @@ import pytest
 import helpers
 from conftest import PT_5_5_NUM, PT_6_6_NUM
 from pptedge import catalog, linalg
-from pptedge.bipartite import BipartiteOperator, ProductVector, transpose_b
-from pptedge.criteria import is_ppt
+from pptedge.bipartite import transpose_b
+from pptedge.criteria import is_ppt, realignment_criterion
 
 
 def test_numerator_diagonals_sum_to_denominator(rho55, rho66):
@@ -104,7 +108,7 @@ def test_families_lie_in_their_ranges(rho55, range_name, which):
     )
     p = helpers.row_space_projector(basis)
     for family in families:
-        for pv in family.samples(100, seed=3):
+        for pv in helpers.family_members(family, 100, seed=3):
             assert linalg.residual_norm(pv.tensor(), p) < 1e-10, (range_name, family.name)
 
 
@@ -162,8 +166,8 @@ def test_every_entry_carries_its_range_families():
 
 def test_family_samples_deterministic(rho55):
     family = rho55.range_families[0]
-    first = family.samples(20, seed=5)
-    second = family.samples(20, seed=5)
+    first = helpers.family_members(family, 20, seed=5)
+    second = helpers.family_members(family, 20, seed=5)
     for p, q in zip(first, second):
         assert np.array_equal(p.a, q.a) and np.array_equal(p.b, q.b)
 
@@ -174,25 +178,44 @@ def test_reference_states_labels_and_ppt():
     report = is_ppt(refs["max_entangled"].state)
     assert report.verdict == "violated"
     assert abs(report.evidence + 1.0 / 3.0) < 1e-12
+    # separable by construction, so no test detects it; test_cli's certify-edge case shows "not edge" without a see-saw
     assert is_ppt(refs["separable_sample"].state).verdict == "pass"
+    assert realignment_criterion(refs["separable_sample"].state).verdict == "pass"
     assert linalg.Spectrum.of(refs["max_mixed"].state.matrix).rank() == 9
     assert linalg.Spectrum.of(refs["max_entangled"].state.matrix).rank() == 1
     assert linalg.Spectrum.of(refs["separable_sample"].state.matrix).rank() == 9
 
 
-def test_separable_sample_is_deterministic():
-    # get() returns one cached build, so compare it with a fresh one
-    a = catalog.get("separable_sample").state.matrix
-    b = catalog._separable_sample().state.matrix
-    assert np.array_equal(a, b)
+def test_separable_sample_is_the_sum_of_its_product_projectors():
+    # (a a^T) (x) (b b^T) has entry ((i,k),(j,l)) = a_i a_j b_k b_l, summed here in Python integers
+    entry = catalog.get("separable_sample")
+    pairs = catalog._SAMPLE_PAIRS
+    expected = [
+        [sum(a[i] * a[j] * b[k] * b[l] for a, b in pairs) for j in range(3) for l in range(3)]
+        for i in range(3)
+        for k in range(3)
+    ]
+    assert entry.exact.dtype == np.int64 and entry.exact.tolist() == expected
+    assert entry.denominator == 28
+    assert np.array_equal(entry.state.matrix, entry.exact / 28)
+    # a separable state that is not merely the product of its marginals
+    blocks = entry.exact.reshape(3, 3, 3, 3)
+    assert not np.array_equal(np.kron(np.einsum("ikjk->ij", blocks), np.einsum("kikj->ij", blocks)), 28 * entry.exact)
+
+
+def test_a_catalog_build_draws_no_random_numbers():
+    # every entry is an integer table: building the catalog does not even import numpy.random
+    code = "import sys, pptedge; pptedge.catalog.entries(); print('numpy.random' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def _entry_arrays(entry: catalog.CatalogEntry) -> list[np.ndarray]:
-    out = []
+    out = [entry.state.matrix]
     for f in dataclasses.fields(entry):
         value = getattr(entry, f.name)
-        if isinstance(value, BipartiteOperator):
-            value = value.matrix
         out.extend(v for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, np.ndarray))
     return out
 
@@ -232,8 +255,14 @@ def test_every_accessor_returns_the_one_cached_build(monkeypatch):
     assert eighs == [(9, 9)]
 
 
-def test_exact_ranks_are_the_paper_ranks_and_none_without_exact_data():
-    expected = {"rho_5_5": (5, 5), "rho_6_6": (6, 6), "max_mixed": (9, 9), "max_entangled": (1, 9), "separable_sample": None}
+def test_exact_ranks_are_the_paper_ranks():
+    expected = {
+        "rho_5_5": (5, 5),
+        "rho_6_6": (6, 6),
+        "max_mixed": (9, 9),
+        "max_entangled": (1, 9),
+        "separable_sample": (9, 9),
+    }
     assert {e.name: e.exact_ranks for e in catalog.entries()} == expected
     assert catalog.get("rho_5_5").exact_ranks == (5, 5)
     assert catalog.get("rho_6_6").exact_ranks == (6, 6)
@@ -248,18 +277,6 @@ def test_exact_ranks_are_computed_on_first_read_only(monkeypatch):
     assert entry.exact_ranks == (5, 5)
     assert entry.exact_ranks is entry.exact_ranks
     assert calls == [(9, 9), (9, 9)]
-
-
-def test_separable_product_vectors_compose_the_sample():
-    entry = catalog.get("separable_sample")
-    rng = np.random.default_rng(catalog._SEPARABLE_SEED)
-    mat = np.zeros((9, 9), dtype=complex)
-    for _ in range(20):
-        x = rng.standard_normal((4, 3))
-        v = ProductVector(x[0] + 1j * x[1], x[2] + 1j * x[3]).tensor()
-        mat += np.outer(v, v.conj())
-    mat /= 20
-    assert np.abs((mat + mat.conj().T) / 2 - entry.state.matrix).max() < 1e-14
 
 
 def test_get_unknown_name():

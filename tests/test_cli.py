@@ -344,12 +344,41 @@ def test_schmidt2_on_non_3x3_operator_exit_4(tmp_path, capsys):
     assert "3x3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["witness", "--method", "realign"]])
-def test_realignment_on_unequal_dims_exit_4(tmp_path, capsys, command):
+def test_realignment_on_unequal_dims_exit_4(tmp_path, capsys):
     path = tmp_path / "r19.json"
     write_matrix_file(path, BipartiteOperator(np.eye(9) / 9, 1, 9))
-    assert main([command[0], str(path), *command[1:], *FAST]) == 4
+    assert main(["witness", str(path), "--method", "realign", *FAST]) == 4
     assert "dim_a == dim_b" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", [(1, 9), (2, 3)])
+def test_analyze_reports_realignment_on_unequal_dims_as_skipped(tmp_path, capsys, dims):
+    # realignment needs dim_a == dim_b: analyze reports it, and its witness, as skipped, like any other
+    # part that does not apply, and still reports ranks, PPT and the edge verdict
+    d = dims[0] * dims[1]
+    path = _state_file(tmp_path, "unequal", np.eye(d) / d, dims)
+    report = _run_json(capsys, ["analyze", path, *FAST])
+    skip = {"skipped": f"realignment requires dim_a == dim_b, got {dims}"}
+    assert report["realignment"] == skip
+    assert report["witnesses"]["realign"] == skip
+    assert report["ranks"] == {"rank": d, "pt_rank": d}
+    assert report["ppt"]["verdict"] == "pass"
+    assert report["edge"]["verdict"] == "not edge"
+
+
+def test_analyze_keeps_witness_metadata_when_no_schmidt2_search_applies(tmp_path, capsys):
+    # rho_5_5 padded with zeros to 4x4: both witnesses detect it, but the Schmidt-rank-2 search is 3x3 only
+    padded = np.zeros((16, 16))
+    idx = [4 * i + k for i in range(3) for k in range(3)]
+    padded[np.ix_(idx, idx)] = catalog.get("rho_5_5").state.matrix.real
+    report = _run_json(capsys, ["analyze", _state_file(tmp_path, "padded", padded, (4, 4)), *FAST])
+    witnesses = report["witnesses"]
+    skipped = "Schmidt-rank-2 minimization is implemented for 3x3 systems"
+    assert witnesses["kernel"]["skipped"] == witnesses["realign"]["skipped"] == skipped
+    assert set(witnesses["kernel"]) == {"skipped", "method", "source", "trace_with_state", "epsilon", "normalization"}
+    assert set(witnesses["realign"]) == {"skipped", "method", "source", "trace_with_state"}
+    assert witnesses["kernel"]["trace_with_state"] < 0.0 and witnesses["realign"]["trace_with_state"] < 0.0
+    assert "normalized_distance" not in witnesses
 
 
 def _state_file(tmp_path, name: str, matrix: np.ndarray, dims: tuple[int, int] = (3, 3)) -> str:

@@ -95,7 +95,7 @@ def test_edge_objective_orthogonal_pair_is_two(rho55):
 
 def test_family_vectors_are_in_range_but_partners_are_not(rho55):
     for family in rho55.range_families:
-        for pv in family.samples(25, seed=8):
+        for pv in helpers.family_members(family, 25, seed=8):
             in_range = linalg.residual_norm(pv.tensor(), helpers.row_space_projector(rho55.range_basis))
             assert in_range**2 < 1e-10
             total = _edge_expectation(rho55.state, pv.a, pv.b)
