@@ -186,7 +186,16 @@ def test_reference_states_labels_and_ppt():
     assert linalg.Spectrum.of(refs["separable_sample"].state.matrix).rank() == 9
 
 
-def test_separable_sample_is_the_sum_of_its_product_projectors():
+def test_separable_sample_is_deterministic():
+    # get() returns one cached build, so compare it with a fresh, uncached one: a fixed integer table, no draw
+    entry = catalog.get("separable_sample")
+    fresh = catalog._built.__wrapped__("separable_sample")
+    assert fresh is not entry
+    assert np.array_equal(fresh.exact, entry.exact)
+    assert np.array_equal(fresh.state.matrix, entry.state.matrix)
+
+
+def test_separable_product_vectors_compose_the_sample():
     # (a a^T) (x) (b b^T) has entry ((i,k),(j,l)) = a_i a_j b_k b_l, summed here in Python integers
     entry = catalog.get("separable_sample")
     pairs = catalog._SAMPLE_PAIRS
