@@ -116,8 +116,8 @@ def test_certify_edge_catalog(rho55, rho66, fast_cfg):
 def test_edge_search_stops_in_the_global_basin_at_every_seed(name):
     # Guards the restart stop rule. A stop in a local basin (rho_5_5: 0.01057, rho_6_6: 0.01965) reports a
     # minimum several times the pinned one, and a W1 whose epsilon is too large to be a witness.
-    # Rounds of 8 (optimize._ROUND = 8) fail this guard: rho_5_5 at seeds 10 and 37, rho_6_6 at 2, 30 and 36.
-    # Rounds of 10 fail it only at rho_5_5 seed 37, so it is a thin guard against _ROUND = 10.
+    # Product rounds of 8 (optimize._ROUND[1] = 8) fail this guard: rho_5_5 at seeds 10 and 37, rho_6_6 at 2, 30
+    # and 36. Rounds of 10 fail it only at rho_5_5 seed 37, so it is a thin guard against _ROUND[1] = 10.
     pinned = {"rho_5_5": EDGE_MIN_5_5, "rho_6_6": EDGE_MIN_6_6}[name]
     state = catalog.get(name).state
     minima = {seed: certify_edge(state, SeeSawConfig(seed=seed)).minimum for seed in range(50)}

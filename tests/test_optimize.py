@@ -272,7 +272,8 @@ _BATCH_REFERENCE: dict[str, OptResult] = {}
 
 
 @pytest.mark.parametrize("objective", sorted(_BATCH_OBJECTIVES))
-@pytest.mark.parametrize("batch", [1, 3, 37, 200])
+# 10 and 11: one Schmidt-rank-2 round and one restart past it
+@pytest.mark.parametrize("batch", [1, 3, 10, 11, 37, 200])
 def test_restart_is_bit_identical_in_any_batch(objective, batch):
     run = _BATCH_OBJECTIVES[objective]
     if objective not in _BATCH_REFERENCE:
@@ -334,6 +335,8 @@ _STOP_RULE_OPERATORS = {
     **{f"random_{k}": (lambda k=k: _op(helpers.random_hermitian(np.random.default_rng(100 + k), 9))) for k in range(3)},
 }
 _MINIMIZERS = {"product": min_generic_quadratic, "schmidt2": min_schmidt2_expectation}
+# restarts per round of each objective's stop rule
+_ROUND_SIZE = {"product": 25, "schmidt2": 10}
 
 
 # 8 sweeps leave most restarts short of their basin, so some runs take several rounds or reach the cap
@@ -345,12 +348,12 @@ def test_stop_rule(operator, objective, cap, max_iter):
     cfg = SeeSawConfig(restarts=cap, max_iter=max_iter, seed=3)
     res = _MINIMIZERS[objective](_STOP_RULE_OPERATORS[operator](), cfg)
     values = res.restart_values
-    n = len(values)
+    n, size = len(values), _ROUND_SIZE[objective]
     assert len(res.iterations_used) == len(res.converged) == n
-    assert n == cap or (n < cap and n % 25 == 0)
+    assert n == cap or (n < cap and n % size == 0)
     if n < cap:
         assert _hits(values, cfg.conv_tol) >= 3
-    before_last_round = values[: (n - 1) // 25 * 25]
+    before_last_round = values[: (n - 1) // size * size]
     assert before_last_round.size == 0 or _hits(before_last_round, cfg.conv_tol) < 3
     assert res.best_value == float(values.min()) and res.best_index == int(np.argmin(values))
 
@@ -437,9 +440,9 @@ _MONOTONE_OBJECTIVES = {
 @pytest.mark.parametrize("objective", sorted(_MONOTONE_OBJECTIVES))
 def test_sweep_values_never_increase(objective):
     # The production loop, with no test hook: restart r is deterministic, so its value after k sweeps is
-    # restart_values[r] at max_iter=k (a restart that stopped earlier keeps its value). A cap of 25 is one round.
+    # restart_values[r] at max_iter=k (a restart that stopped earlier keeps its value). The cap is one round.
     # Accepting every extrapolated half-step, with no fallback to the plain factor, fails this test on the random
     # and edge objectives; the |00> objective's rank-2 factors turn rank-deficient, so they are not extrapolated.
-    run = _MONOTONE_OBJECTIVES[objective]
-    values = np.array([run(SeeSawConfig(restarts=25, max_iter=k, seed=42)).restart_values for k in range(1, 41)])
+    run, cap = _MONOTONE_OBJECTIVES[objective], _ROUND_SIZE[objective.rsplit("_", 1)[1]]
+    values = np.array([run(SeeSawConfig(restarts=cap, max_iter=k, seed=42)).restart_values for k in range(1, 41)])
     assert np.diff(values, axis=0).max() <= 1e-14
