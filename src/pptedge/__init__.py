@@ -36,6 +36,7 @@ from .optimize import (
     SeeSawConfig,
     min_generic_quadratic,
     min_schmidt2_expectation,
+    min_schmidt2_expectations,
 )
 from .serialize import read_matrix_file, write_matrix_file
 from .witness import Witness, evaluate, kernel_witness, realignment_witness, shift_witness
@@ -63,6 +64,7 @@ __all__ = [
     "kernel_witness",
     "min_generic_quadratic",
     "min_schmidt2_expectation",
+    "min_schmidt2_expectations",
     "read_matrix_file",
     "realign",
     "realignment_criterion",

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, catalog, criteria, witness as witness_mod
 from .bipartite import BipartiteOperator, schmidt_coefficients, validate_density
 from .exceptions import InvalidStateError, MatrixFileError, NotApplicableError
-from .optimize import SeeSawConfig, min_schmidt2_expectation
+from .optimize import SeeSawConfig, min_schmidt2_expectation, min_schmidt2_expectations
 from .serialize import dumps_canonical, matrix_payload, read_matrix_file
 
 EXIT_OK = 0
@@ -206,17 +206,13 @@ def _or_skipped(build: Callable, **kept):
 
 
 def _witness_summary(w: witness_mod.Witness, op: BipartiteOperator, args: argparse.Namespace) -> dict:
-    """The witness's metadata and its Schmidt-rank-2 minimum, or the metadata and a skip when Tr(W rho) >= 0 or no search applies."""
+    """The witness's metadata, and a skip when Tr(W rho) >= 0: then no Schmidt-rank-2 search runs for it."""
     value = witness_mod.evaluate(w.operator, op)
     meta = _witness_metadata(w, value, args)
     if value >= 0:
         reason = f"Tr(W rho) = {value:.6e} >= 0 at --tol-eig {args.tol_eig:g}: the witness does not detect the state"
         return {"skipped": reason, **meta}
-
-    def searched() -> dict:
-        return {**meta, "schmidt2_best_value": min_schmidt2_expectation(w.operator, _config(args)).best_value}
-
-    return _or_skipped(searched, **meta)
+    return meta
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -246,6 +242,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     # a witness that was not built is already its skip
     summaries = {name: w if isinstance(w, dict) else _witness_summary(w, op, args) for name, w in built.items()}
+    # one Schmidt-rank-2 search covers every witness that detects the state
+    detecting = [name for name, summary in summaries.items() if "skipped" not in summary]
+    operators = tuple(built[name].operator for name in detecting)
+    found = _or_skipped(lambda: min_schmidt2_expectations(operators, _config(args))) if operators else ()
+    for i, name in enumerate(detecting):
+        summaries[name].update(found if isinstance(found, dict) else {"schmidt2_best_value": found[i].best_value})
     if not any("skipped" in summary for summary in summaries.values()):
         m1, m2 = (w.operator.matrix / np.linalg.norm(w.operator.matrix) for w in built.values())
         summaries["normalized_distance"] = float(np.linalg.norm(m1 - m2))

@@ -28,17 +28,22 @@ when a plain sweep lowers its value by less than ``conv_tol``, so it stops
 only where the plain alternation has stalled to that tolerance.
 
 Determinism contract: restart ``r`` draws its starting point from its own
-generator, ``np.random.default_rng([seed, r])``, so different seeds draw
-different starts, and restarts never interact. Every array operation acts on
-each restart at a fixed shape (inner products are one matrix product per
-restart), the safeguard's redo solves a sub-batch, and ``np.linalg.eigh`` and
-``np.linalg.qr`` each solve every matrix of a stack on its own, so restart
-``r`` gives bit-identical results in a batch of any size; a converged restart
-simply leaves the batch. No phase convention is applied per half-step, only
-to the reported ``ProductVector``. How many restarts run is decided in index
-order: they run in rounds of 25 over product vectors and of 10 over Schmidt
-rank 2, and the run stops after the first round in which at least 3 restarts
-lie within ``max(1e-9 * |best|, conv_tol)`` of the best value so far, or at
+generator, ``np.random.default_rng([seed, r])`` (memoized per process, as a
+pure function of seed, restart and shape), so different seeds draw different
+starts, and restarts never interact. :func:`min_schmidt2_expectations` runs
+several objectives of one shape in lockstep, each row of a batch minimizing
+its own objective. Every array operation acts on each restart at a fixed
+shape (inner products are one matrix product per restart), the safeguard's
+redo solves a sub-batch, and ``np.linalg.eigh`` and ``np.linalg.qr`` each
+solve every matrix of a stack on its own, so restart ``r`` of objective ``k``
+gives bit-identical results in a batch of any size, alongside any other
+objectives; a converged restart simply leaves the batch. No phase convention
+is applied per half-step, only to the reported ``ProductVector``. How many
+restarts run is decided per objective, in index order: they run in rounds of
+25 over product vectors and of 10 over Schmidt rank 2 (round j of every
+objective not yet stopped in one batch, from one draw of the starts), and an
+objective stops after the first round in which at least 3 of its restarts
+lie within ``max(1e-9 * |best|, conv_tol)`` of its best value so far, or at
 the ``restarts`` cap. The restarts that run under a smaller cap are therefore
 a prefix of those that run under a larger one, and the merge of restart
 results is a plain minimum with a first-index tie-break. Running the same
@@ -49,6 +54,7 @@ optimality certificate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable
@@ -64,6 +70,7 @@ __all__ = [
     "SeeSawConfig",
     "min_generic_quadratic",
     "min_schmidt2_expectation",
+    "min_schmidt2_expectations",
 ]
 
 
@@ -134,18 +141,25 @@ def _objective(op: BipartiteOperator) -> tuple[np.ndarray, tuple[int, int]]:
 
 
 def _starts(seed: int, indices: range, dim: int, rank: int) -> np.ndarray:
-    """Unit-norm complex Gaussian (dim x rank) factor per restart; restart r draws from default_rng([seed, r])."""
-    out = np.empty((len(indices), dim, rank), dtype=complex)
-    for i, r in enumerate(indices):
-        rng = np.random.default_rng([seed, r])
-        z = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
-        out[i] = z.T / np.linalg.norm(z)
+    """Unit-norm complex Gaussian (dim x rank) factor per restart, from default_rng([seed, r]): a writable copy."""
+    return _drawn(seed, indices, dim, rank).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _drawn(seed: int, indices: range, dim: int, rank: int) -> np.ndarray:
+    """The read-only, memoized draws behind :func:`_starts`; the see-saw writes into its starts, so they copy them."""
+    raw = np.array([np.random.default_rng([seed, r]).standard_normal((2, rank, dim)) for r in indices])
+    z = raw[:, 0] + 1j * raw[:, 1]
+    out = z.transpose(0, 2, 1) / np.array([np.linalg.norm(x) for x in z])[:, None, None]
+    out.flags.writeable = False
     return out
 
 
-def _half_step(h: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
+def _half_step(hs: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
     """Exact minimization over party ``free``'s factor (0 = A, 1 = B) with the other factor fixed.
 
+    ``hs`` stacks k Hermitian objectives (k, D, D); ``step(fixed, problem)``
+    minimizes row i of ``fixed`` for objective ``problem[i]``.
     Factors are stacks (n, dim, rank) standing for psi = sum_r A[:, r] (x) B[:, r].
     A rank-2 fixed factor is first given orthonormal columns by one batched QR
     of the stack. Then <psi|H|psi> / <psi|psi> is the Rayleigh quotient of an
@@ -158,12 +172,12 @@ def _half_step(h: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
     used as returned, without a phase convention.
     """
     da, db = dims
-    h4 = h.reshape(da, db, da, db)
+    h4 = hs.reshape(-1, da, db, da, db)
     # rows (u, v): bra and ket index of the fixed party; columns (f, g): of the free party
-    mat, m, d = (h4.transpose(1, 3, 0, 2), db, da) if free == 0 else (h4.transpose(0, 2, 1, 3), da, db)
-    mat = mat.reshape(m * m, d * d)
+    mat, m, d = (h4.transpose(0, 2, 4, 1, 3), db, da) if free == 0 else (h4.transpose(0, 1, 3, 2, 4), da, db)
+    mats = mat.reshape(-1, m * m, d * d)
 
-    def step(fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def step(fixed: np.ndarray, problem: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n, _, rank = fixed.shape
         if rank > 1:
             # F = Q (Q^H F) holds for rank-deficient and zero F too, and LAPACK
@@ -171,7 +185,7 @@ def _half_step(h: np.ndarray, dims: tuple[int, int], free: int) -> Callable:
             fixed = np.linalg.qr(fixed)[0]
         ft = fixed.transpose(0, 2, 1)
         outer = (ft.conj()[:, :, None, :, None] * ft[:, None, :, None, :]).reshape(n, rank * rank, m * m)
-        eff = (outer @ mat).reshape(n, rank, rank, d, d).transpose(0, 3, 1, 4, 2).reshape(n, d * rank, d * rank)
+        eff = (outer @ mats[problem]).reshape(n, rank, rank, d, d).transpose(0, 3, 1, 4, 2).reshape(n, d * rank, d * rank)
         w, v = np.linalg.eigh(eff)
         return w[:, 0], fixed, v[:, :, 0].reshape(n, d, rank)
 
@@ -237,13 +251,15 @@ def _see_saw(
     fixed: np.ndarray,
     free: np.ndarray,
     half_steps: tuple[Callable, Callable],
+    problem: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternate the two half-steps on every restart of one round until a plain sweep stops improving.
 
     ``fixed`` holds the starting factors the first half-step keeps fixed,
     ``free`` the factors it replaces; the second half-step swaps the roles,
-    and both arrays end holding each restart's final pair. Each sweep starts
-    from an extrapolated factor with a safeguard (see the module docstring).
+    and both arrays end holding each restart's final pair. Row i minimizes
+    objective ``problem[i]``. Each sweep starts from an extrapolated factor
+    with a safeguard (see the module docstring).
     A restart leaves the batch once a plain sweep lowers its value by less
     than ``conv_tol``; an extrapolated sweep that does so makes the next
     sweep plain. Returns the values, sweep counts and convergence flags.
@@ -258,17 +274,17 @@ def _see_saw(
     for _ in range(cfg.max_iter):
         if active.size == 0:
             break
-        plain, last = fixed[active], values[active]
+        plain, last, rows = fixed[active], values[active], problem[active]
         d, ok = _direction(plain)
         ex = extrapolate[active] & ok
         start = plain.copy()
         start[ex] = _extrapolated(plain[ex], d[ex], prev[active[ex]], _BETA[rank])
-        w, _, y = half_steps[0](start)
+        w, _, y = half_steps[0](start, rows)
         back = np.flatnonzero(ex & (w > last))
         if back.size:
-            y[back] = half_steps[0](plain[back])[2]
+            y[back] = half_steps[0](plain[back], rows[back])[2]
             ex[back] = False
-        w, y, x = half_steps[1](y)
+        w, y, x = half_steps[1](y, rows)
         fixed[active], free[active] = x, y
         small = np.abs(last - w) < cfg.conv_tol
         done = small & ~ex
@@ -287,36 +303,38 @@ def _multistart(
     rank: int,
     half_steps: tuple[Callable, Callable],
     argmin: Callable[[np.ndarray, np.ndarray], ProductVector | RankTwoFactors],
-) -> OptResult:
-    """Run rounds of ``_ROUND[rank]`` restarts until the best basin has been reached ``_HITS`` times, or the cap.
+    problems: int = 1,
+) -> tuple[OptResult, ...]:
+    """One ``OptResult`` per objective of the half-steps, each from rounds of ``_ROUND[rank]`` restarts.
 
-    Each restart starts from a (rows[0] x rank) factor that the first
+    Round j of every objective that has not stopped runs in one see-saw
+    batch, from one draw of the round's starts. An objective stops after the
+    round in which its best basin has been reached ``_HITS`` times, or at the
+    cap. Each restart starts from a (rows[0] x rank) factor that the first
     half-step keeps fixed, and that half-step replaces a (rows[1] x rank)
-    one. Only the best restart's pair is kept across rounds; ``argmin``
-    builds the reported point from it.
+    one; ``argmin`` builds the reported point from the best restart's pair.
     """
-    rounds = []
-    best_value, best_index, best_pair = np.inf, 0, None
+    runs: list[list] = [[] for _ in range(problems)]
+    live = list(range(problems))
     for lo in range(0, cfg.restarts, _ROUND[rank]):
-        indices = range(lo, min(lo + _ROUND[rank], cfg.restarts))
-        fixed = _starts(cfg.seed, indices, rows[0], rank)
-        free = np.zeros((len(indices), rows[1], rank), dtype=complex)
-        v, it, conv = _see_saw(cfg, fixed, free, half_steps)
-        k = int(np.argmin(v))
-        if best_pair is None or v[k] < best_value:
-            best_value, best_index, best_pair = float(v[k]), lo + k, (fixed[k], free[k])
-        rounds.append((v, it, conv))
-        values, iterations, converged = (np.concatenate(column) for column in zip(*rounds))
-        if np.count_nonzero(values - best_value <= max(_BASIN_RTOL * abs(best_value), cfg.conv_tol)) >= _HITS:
+        if not live:
             break
-    return OptResult(
-        best_value=best_value,
-        argmin=argmin(*best_pair),
-        restart_values=values,
-        iterations_used=iterations,
-        converged=converged,
-        best_index=best_index,
-    )
+        n = min(_ROUND[rank], cfg.restarts - lo)
+        fixed = np.tile(_starts(cfg.seed, range(lo, lo + n), rows[0], rank), (len(live), 1, 1))
+        free = np.zeros((len(fixed), rows[1], rank), dtype=complex)
+        batch = _see_saw(cfg, fixed, free, half_steps, np.repeat(live, n)) + (fixed, free)
+        running, live = live, []
+        for j, p in enumerate(running):
+            runs[p].append([column[j * n : (j + 1) * n] for column in batch])
+            values = np.concatenate([run[0] for run in runs[p]])
+            if np.count_nonzero(values - values.min() <= max(_BASIN_RTOL * abs(values.min()), cfg.conv_tol)) < _HITS:
+                live.append(p)
+    results = []
+    for run in runs:
+        values, iterations, converged, fixed, free = (np.concatenate(column) for column in zip(*run))
+        k = int(np.argmin(values))
+        results.append(OptResult(float(values[k]), argmin(fixed[k], free[k]), values, iterations, converged, k))
+    return tuple(results)
 
 
 def min_generic_quadratic(operator: BipartiteOperator, cfg: SeeSawConfig = SeeSawConfig()) -> OptResult:
@@ -329,25 +347,32 @@ def min_generic_quadratic(operator: BipartiteOperator, cfg: SeeSawConfig = SeeSa
     """
     h, dims = _objective(operator)
     steps = (_half_step(h, dims, 1), _half_step(h, dims, 0))
-    return _multistart(cfg, dims, 1, steps, lambda a_best, b_best: ProductVector(a_best[:, 0], b_best[:, 0]))
+    return _multistart(cfg, dims, 1, steps, lambda a_best, b_best: ProductVector(a_best[:, 0], b_best[:, 0]))[0]
 
 
-def min_schmidt2_expectation(operator: BipartiteOperator, cfg: SeeSawConfig = SeeSawConfig()) -> OptResult:
-    """Minimize the Rayleigh quotient of H over states of Schmidt rank at most 2.
+def min_schmidt2_expectations(operators: tuple[BipartiteOperator, ...], cfg: SeeSawConfig = SeeSawConfig()) -> tuple:
+    """Minimize the Rayleigh quotient of each H over states of Schmidt rank at most 2: one ``OptResult`` each.
 
     The 3x3 coefficient matrix of the state is kept factored as
     (3 x 2) @ (2 x 3). Fixing either factor and orthonormalizing it, by one
     batched LAPACK QR that keeps its span even when it is rank-deficient,
     turns the quotient into an ordinary eigenproblem for a 6x6 effective
     Hermitian operator in the other factor, so the same monotone alternation
-    applies.
-    The returned state has at most two nonzero Schmidt coefficients by
-    construction. An operator on another bipartite space than 3x3 raises
-    :class:`NotApplicableError`.
+    applies. The returned states have at most two nonzero Schmidt
+    coefficients by construction. The operators run in lockstep, each result
+    bit-identical to its operator's alone (see the module docstring), and an
+    empty tuple gives an empty tuple. An operator on another bipartite space
+    than 3x3 raises :class:`NotApplicableError` before any search runs.
     """
-    h, dims = _objective(operator)
-    if dims != (3, 3):
+    objectives = [_objective(op) for op in operators]
+    if any(dims != (3, 3) for _, dims in objectives):
         raise NotApplicableError("Schmidt-rank-2 minimization is implemented for 3x3 systems")
-    steps = (_half_step(h, dims, 0), _half_step(h, dims, 1))
+    hs = np.array([h for h, _ in objectives])
+    steps = (_half_step(hs, (3, 3), 0), _half_step(hs, (3, 3), 1))
     # the first half-step keeps the right factor (party B) fixed and replaces the left one
-    return _multistart(cfg, dims[::-1], 2, steps, lambda r_best, l_best: RankTwoFactors(l_best.copy(), r_best.T.copy()))
+    return _multistart(cfg, (3, 3), 2, steps, lambda r_best, l_best: RankTwoFactors(l_best.copy(), r_best.T.copy()), len(hs))
+
+
+def min_schmidt2_expectation(operator: BipartiteOperator, cfg: SeeSawConfig = SeeSawConfig()) -> OptResult:
+    """:func:`min_schmidt2_expectations` of the one operator."""
+    return min_schmidt2_expectations((operator,), cfg)[0]

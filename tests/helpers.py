@@ -155,3 +155,17 @@ def separable_mixture(rank: int) -> np.ndarray:
         v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         rho += np.outer(v, v.conj()) / rank
     return rho
+
+
+def per_restart_starts(seed: int, indices: range, dim: int, rank: int) -> np.ndarray:
+    """The see-saw's starts drawn one restart at a time: each restart's own generator, two draws, one norm.
+
+    Restart r's (dim x rank) factor is its complex Gaussian (rank x dim)
+    draw from ``default_rng([seed, r])``, transposed and divided by its norm.
+    """
+    out = np.empty((len(indices), dim, rank), dtype=complex)
+    for i, r in enumerate(indices):
+        rng = np.random.default_rng([seed, r])
+        z = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
+        out[i] = z.T / np.linalg.norm(z)
+    return out

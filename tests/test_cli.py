@@ -225,12 +225,29 @@ def test_witness_kernel_gates_ppt_and_builds_projectors_once(monkeypatch, capsys
 @pytest.mark.parametrize("name", ["rho_5_5", "rho_6_6"])
 def test_analyze_runs_edge_see_saw_and_projectors_once(monkeypatch, capsys, name):
     see_saws = _count_calls(monkeypatch, "min_generic_quadratic")
+    searches = _count_calls(monkeypatch, "min_schmidt2_expectations")
     projectors = _count_projector_calls(monkeypatch)
     report = _run_json(capsys, ["analyze", name, *FAST])
     assert len(see_saws) == 1
+    # one Schmidt-rank-2 search, over both witnesses
+    assert [len(operators) for operators, *_ in searches] == [2]
     assert _one_projector_per_spectrum(projectors, catalog.get(name).state)
     kernel = report["witnesses"]["kernel"]
     assert kernel["epsilon"] == kernel["normalization"] * report["edge"]["minimum"]
+
+
+def test_analyze_runs_two_see_saw_batches(monkeypatch, capsys):
+    # the edge search's round, then one round of W1 and W2 together: not a batch per witness
+    batches = []
+    see_saw = optimize._see_saw
+
+    def counted(cfg, fixed, free, half_steps, problem):
+        batches.append((len(fixed), sorted(set(problem.tolist()))))
+        return see_saw(cfg, fixed, free, half_steps, problem)
+
+    monkeypatch.setattr(optimize, "_see_saw", counted)
+    _run_json(capsys, ["analyze", "rho_5_5"])
+    assert batches == [(25, [0]), (20, [0, 1])]
 
 
 def test_flags_do_not_leak_into_the_next_main_call(capsys):
@@ -425,7 +442,7 @@ def test_analyze_2x2_skips_schmidt2_search(tmp_path, monkeypatch, capsys):
     # Schmidt-rank-2 search; test_schmidt2_on_non_3x3_operator_exit_4 covers the non-3x3 refusal
     a, b = np.kron([1.0, 0.0], [1.0, 0.0]), np.kron([0.0, 1.0], [0.6, 0.8])
     path = _state_file(tmp_path, "sep2x2", (np.outer(a, a) + np.outer(b, b)) / 2, (2, 2))
-    searches = _count_calls(monkeypatch, "min_schmidt2_expectation")
+    searches = _count_calls(monkeypatch, "min_schmidt2_expectations")
     report = _run_json(capsys, ["analyze", path, *FAST])
     assert report["edge"]["verdict"] == "not edge"
     assert report["witnesses"]["kernel"]["skipped"] == "kernel witness requires an edge verdict, got 'not edge'"
@@ -581,7 +598,7 @@ def test_analyze_catalog_state_computes_exact_ranks_once_per_process(monkeypatch
 def test_analyze_skips_a_kernel_witness_that_does_not_detect_its_state(monkeypatch, capsys):
     # at --tol-eig 0.3 the eigenvalues dropped from rho are not zero and Tr(W1 rho) > 0: W1 is reported
     # as skipped, with that value, and only W2 goes on to a Schmidt-rank-2 search
-    searches = _count_calls(monkeypatch, "min_schmidt2_expectation")
+    searches = _count_calls(monkeypatch, "min_schmidt2_expectations")
     report = _run_json(capsys, ["analyze", "rho_5_5", "--tol-eig", "0.3", *FAST])
     kernel = report["witnesses"]["kernel"]
     assert kernel["skipped"].startswith(f"Tr(W rho) = {kernel['trace_with_state']:.6e} >= 0 at --tol-eig 0.3")
@@ -589,7 +606,7 @@ def test_analyze_skips_a_kernel_witness_that_does_not_detect_its_state(monkeypat
     assert kernel["trace_with_state"] > 0.0
     assert "schmidt2_best_value" in report["witnesses"]["realign"]
     assert "normalized_distance" not in report["witnesses"]
-    assert len(searches) == 1
+    assert [len(operators) for operators, *_ in searches] == [1]
 
 
 @pytest.mark.parametrize(
@@ -622,7 +639,7 @@ def test_analyze_separable_reports_ranks_at_tol_eig_and_skips_kernel_witness(
     e00 = np.eye(9)[0]
     rho = (1 - weight) * helpers.separable_mixture(4) + weight * np.outer(e00, e00)
     path = _state_file(tmp_path, "sep4", rho)
-    searches = _count_calls(monkeypatch, "min_schmidt2_expectation")
+    searches = _count_calls(monkeypatch, "min_schmidt2_expectations")
     report = _run_json(capsys, ["analyze", path, "--tol-eig", tol_eig, *FAST])
     ranks = report["ranks"]
     assert (ranks["rank"], ranks["pt_rank"]) == (rank, rank)

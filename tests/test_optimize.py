@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 import helpers
+from pptedge import optimize
 from pptedge.bipartite import BipartiteOperator, schmidt_coefficients, transpose_b
 from pptedge.exceptions import NotApplicableError
-from pptedge.optimize import OptResult, SeeSawConfig, min_generic_quadratic, min_schmidt2_expectation
+from pptedge.optimize import (
+    OptResult,
+    SeeSawConfig,
+    min_generic_quadratic,
+    min_schmidt2_expectation,
+    min_schmidt2_expectations,
+)
 
 QUICK = SeeSawConfig(restarts=30, max_iter=300, seed=5)
 # degenerate objectives (zero, rank-deficient or flat factors) must not divide by zero on the way
@@ -99,17 +106,18 @@ def half_step_values(h: np.ndarray, rank: int, cfg: SeeSawConfig) -> np.ndarray:
     by less than `conv_tol` or `max_iter` sweeps pass. A restart that has
     stopped repeats its last value. Every reported value is checked against
     <psi|H|psi> / <psi|psi> recomputed from the two factors that half-step
-    returns, psi = sum_r A[:, r] (x) B[:, r].
+    returns, psi = sum_r A[:, r] (x) B[:, r]. H is the half-steps' only
+    objective, so every row's problem index is 0.
     """
     from pptedge.optimize import _half_step, _starts
 
     free_first = 1 if rank == 1 else 0  # the rank-1 see-saw starts from A, the rank-2 one from B
     steps = [(free, _half_step(h, (3, 3), free)) for free in (free_first, 1 - free_first)]
     fixed = _starts(cfg.seed, range(cfg.restarts), 3, rank)
-    values, active = [], np.ones(cfg.restarts, dtype=bool)
+    values, active, problem = [], np.ones(cfg.restarts, dtype=bool), np.zeros(cfg.restarts, dtype=int)
     for _ in range(cfg.max_iter):
         for free, step in steps:
-            w, kept, new = step(fixed)
+            w, kept, new = step(fixed, problem)
             a, b = (kept, new) if free == 1 else (new, kept)
             psi = np.einsum("nir,njr->nij", a, b).reshape(cfg.restarts, 9)
             quotient = np.einsum("ni,ij,nj->n", psi.conj(), h, psi).real / np.einsum("ni,ni->n", psi.conj(), psi).real
@@ -321,6 +329,67 @@ def test_seeds_draw_different_starts():
         for s in draws:
             for t in draws:
                 assert s == t or draws[s].isdisjoint(draws[t]), (dim, rank, s, t)
+
+
+@pytest.mark.parametrize("dim,rank", [(3, 1), (3, 2), (2, 1)])
+@pytest.mark.parametrize("cap", [7, 33])
+def test_starts_equal_the_per_restart_draws(dim, rank, cap):
+    # the bulk draw reproduces each restart's own stream bit for bit, over every round of a cap that ends mid-round
+    size = optimize._ROUND[rank]
+    for lo in range(0, cap, size):
+        indices = range(lo, min(lo + size, cap))
+        assert optimize._starts(5, indices, dim, rank).tobytes() == helpers.per_restart_starts(5, indices, dim, rank).tobytes()
+
+
+def test_starts_hand_out_fresh_writable_copies():
+    # the see-saw writes into its starts, so a memoized draw must not be handed out itself
+    first = optimize._starts(6, range(10), 3, 2)
+    assert first.flags.writeable
+    first[:] = 0.0
+    second = optimize._starts(6, range(10), 3, 2)
+    assert second.flags.writeable and second is not first
+    assert second.tobytes() == helpers.per_restart_starts(6, range(10), 3, 2).tobytes()
+
+
+def _fused_operators() -> tuple:
+    """W1 and W2 of rho_5_5, W2 of rho_6_6 and a random Hermitian operator."""
+    from pptedge import catalog, criteria, witness
+
+    r55, r66 = (catalog.get(name).state for name in ("rho_5_5", "rho_6_6"))
+    w1 = witness.kernel_witness(criteria.certify_edge(r55, SeeSawConfig()))
+    w2s = (witness.realignment_witness(state).operator for state in (r55, r66))
+    return (w1.operator, *w2s, _op(helpers.random_hermitian(np.random.default_rng(15), 9)))
+
+
+# At 2 sweeps every objective runs to the cap of 40; at 5 they stop after 4, 2, 4 and 1 rounds, so later
+# rounds batch fewer objectives than the first.
+_FUSED_CONFIGS = {
+    "default": SeeSawConfig(),
+    "restarts_7": SeeSawConfig(restarts=7),
+    "restarts_40_max_iter_2": SeeSawConfig(restarts=40, max_iter=2),
+    "restarts_40_max_iter_5": SeeSawConfig(restarts=40, max_iter=5),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_FUSED_CONFIGS))
+def test_fused_schmidt2_search_equals_solo_searches(config):
+    cfg, operators = _FUSED_CONFIGS[config], _fused_operators()
+    solo = [pickle.dumps(min_schmidt2_expectation(op, cfg)) for op in operators]
+    fused = min_schmidt2_expectations(operators, cfg)
+    assert [pickle.dumps(res) for res in fused] == solo
+    assert [pickle.dumps(res) for res in min_schmidt2_expectations(operators[::-1], cfg)] == solo[::-1]
+    if config == "restarts_40_max_iter_5":
+        assert [len(res.restart_values) for res in fused] == [40, 20, 40, 10]
+
+
+def test_fused_schmidt2_search_refuses_before_any_see_saw(monkeypatch):
+    batches = []
+    see_saw = optimize._see_saw
+    monkeypatch.setattr(optimize, "_see_saw", lambda *args: batches.append(args) or see_saw(*args))
+    with pytest.raises(NotApplicableError):
+        min_schmidt2_expectations((_op(np.eye(9)), BipartiteOperator(np.eye(4), 2, 2)), QUICK)
+    assert min_schmidt2_expectations((), QUICK) == ()
+    assert batches == []
 
 
 def _hits(values: np.ndarray, conv_tol: float) -> int:
