@@ -176,10 +176,12 @@ def _edge_block(cert: criteria.EdgeCertificate) -> dict:
     }
     if cert.opt is not None:
         values = cert.opt.restart_values
+        # np.median's arithmetic without its numpy.ma import: the middle value, or the mean of the two middle ones
+        middle = np.sort(values)[(len(values) - 1) // 2 : len(values) // 2 + 1]
         block.update(
             restarts_run=len(values),
             restart_min=float(np.min(values)),
-            restart_median=float(np.median(values)),
+            restart_median=float(np.mean(middle)),
             restart_max=float(np.max(values)),
             iterations_max=int(np.max(cert.opt.iterations_used)),
             all_converged=bool(np.all(cert.opt.converged)),

@@ -27,10 +27,10 @@ whose first half-step kept the plain factor fixed; a restart is converged
 when a plain sweep lowers its value by less than ``conv_tol``, so it stops
 only where the plain alternation has stalled to that tolerance.
 
-Determinism contract: restart ``r`` draws its starting point from its own
-generator, ``np.random.default_rng([seed, r])`` (memoized per process, as a
-pure function of seed, restart and shape), so different seeds draw different
-starts, and restarts never interact. :func:`min_schmidt2_expectations` runs
+Determinism contract: restart ``r``'s starting point is a pure function of
+seed, ``r`` and shape, computed in plain numpy from hashed counters (see
+:func:`_uniforms`), so different seeds draw different starts, and restarts
+never interact. :func:`min_schmidt2_expectations` runs
 several objectives of one shape in lockstep, each row of a batch minimizing
 its own objective. Every array operation acts on each restart at a fixed
 shape (inner products are one matrix product per restart), the safeguard's
@@ -54,7 +54,6 @@ optimality certificate.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable
@@ -140,19 +139,28 @@ def _objective(op: BipartiteOperator) -> tuple[np.ndarray, tuple[int, int]]:
     return op.matrix, (op.dim_a, op.dim_b)
 
 
+def _uniforms(seed: int, indices: range, count: int) -> np.ndarray:
+    """``count`` uniforms in (0, 1) per restart r: draw j hashes the counter (seed, r, j) with SplitMix64.
+
+    From z = 0, the words of seed (its 64-bit limbs, low first), then r, then j each take z to output word + 1 of
+    SplitMix64 seeded with z, mix(z + (word + 1) * gamma) (Steele, Lea & Flood, OOPSLA 2014), in uint64; so
+    restart r draws consecutive SplitMix64 outputs. The draw is ((z >> 11) + 1/2) / 2**53.
+    """
+    limbs = [int(seed) >> s & 0xFFFFFFFFFFFFFFFF for s in range(0, max(int(seed).bit_length(), 1), 64)]
+    z = np.zeros(1, dtype=np.uint64)
+    for word in limbs + [np.array(indices, dtype=np.uint64)[:, None], np.arange(count, dtype=np.uint64)]:
+        z = z + ((word + 1) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF)
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+        z = (z ^ z >> 27) * 0x94D049BB133111EB
+        z = z ^ z >> 31
+    return ((z >> 11) + 0.5) * 2.0**-53
+
+
 def _starts(seed: int, indices: range, dim: int, rank: int) -> np.ndarray:
-    """Unit-norm complex Gaussian (dim x rank) factor per restart, from default_rng([seed, r]): a writable copy."""
-    return _drawn(seed, indices, dim, rank).copy()
-
-
-@functools.lru_cache(maxsize=64)
-def _drawn(seed: int, indices: range, dim: int, rank: int) -> np.ndarray:
-    """The read-only, memoized draws behind :func:`_starts`; the see-saw writes into its starts, so they copy them."""
-    raw = np.array([np.random.default_rng([seed, r]).standard_normal((2, rank, dim)) for r in indices])
-    z = raw[:, 0] + 1j * raw[:, 1]
-    out = z.transpose(0, 2, 1) / np.array([np.linalg.norm(x) for x in z])[:, None, None]
-    out.flags.writeable = False
-    return out
+    """Unit-norm complex Gaussian (dim x rank) factor per restart, by Box-Muller from its :func:`_uniforms`."""
+    u = _uniforms(seed, indices, 2 * dim * rank).reshape(-1, 2, dim, rank)
+    z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
+    return z / np.linalg.norm(z, axis=(1, 2))[:, None, None]
 
 
 def _half_step(hs: np.ndarray, dims: tuple[int, int], free: int) -> Callable:

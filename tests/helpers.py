@@ -157,15 +157,30 @@ def separable_mixture(rank: int) -> np.ndarray:
     return rho
 
 
-def per_restart_starts(seed: int, indices: range, dim: int, rank: int) -> np.ndarray:
-    """The see-saw's starts drawn one restart at a time: each restart's own generator, two draws, one norm.
+_MASK64 = 2**64 - 1
 
-    Restart r's (dim x rank) factor is its complex Gaussian (rank x dim)
-    draw from ``default_rng([seed, r])``, transposed and divided by its norm.
+
+def splitmix64_output(state: int, n: int) -> int:
+    """Output ``n`` (from 1) of SplitMix64 seeded with ``state`` (Steele, Lea & Flood, OOPSLA 2014), in Python integers.
+
+    The generator adds the odd constant gamma to its state once per output
+    and returns the finalizer of the new state, so output n is the finalizer
+    of state + n * gamma modulo 2**64.
     """
-    out = np.empty((len(indices), dim, rank), dtype=complex)
-    for i, r in enumerate(indices):
-        rng = np.random.default_rng([seed, r])
-        z = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
-        out[i] = z.T / np.linalg.norm(z)
-    return out
+    z = (state + n * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def counter_uniform(seed: int, r: int, j: int) -> float:
+    """Uniform j of restart r behind the see-saw's starts, in Python integers and floats.
+
+    From 0, each word of seed (its 64-bit limbs, low first), then r, then j
+    replaces the state by output word + 1 of SplitMix64 seeded with it; the
+    uniform is the top 53 bits of the last output, plus 1/2, over 2**53.
+    """
+    state = 0
+    for word in [seed >> shift & _MASK64 for shift in range(0, max(seed.bit_length(), 1), 64)] + [r, j]:
+        state = splitmix64_output(state, word + 1)
+    return ((state >> 11) + 0.5) / 2**53

@@ -85,6 +85,36 @@ def test_analyze_seeds_draw_different_minima(capsys):
     assert all(edge["restarts_run"] < 200 for edge in edges)
 
 
+def test_analyze_takes_a_seed_beyond_64_bits(capsys):
+    report = _run_json(capsys, ["analyze", "rho_5_5", "--seed", str(10**23)])
+    assert report["seed"] == 10**23
+    assert report["edge"]["verdict"] == "edge (heuristic)"
+    assert abs(report["edge"]["minimum"] - EDGE_MIN_5_5) < 1e-6 * EDGE_MIN_5_5
+
+
+def test_restart_median_is_np_median_bit_for_bit():
+    # the edge block takes the median by a sort, not by np.median, on odd and even numbers of restarts
+    cert = criteria.certify_edge(catalog.get("rho_5_5").state, optimize.SeeSawConfig(restarts=25))
+    rng = np.random.default_rng(26)
+    for n in [*range(1, 60), 200]:
+        for scale in (1e-14, 1e-3, 1e2):
+            values = scale * rng.standard_normal(n)
+            block = cli._edge_block(dataclasses.replace(cert, opt=dataclasses.replace(cert.opt, restart_values=values)))
+            assert block["restart_median"].hex() == float(np.median(values)).hex(), (n, scale)
+
+
+def test_a_fresh_analyze_imports_neither_numpy_random_nor_numpy_ma():
+    # the starts are plain uint64 arithmetic and the restart median a sort; -X importtime lists every module imported
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-X", "importtime", "-m", "pptedge", "analyze", "rho_5_5"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert "numpy.linalg" in imported and json.loads(done.stdout)["edge"]["restarts_run"] == 25
+    assert not {"numpy.random", "numpy.ma"} & imported
+
+
 def test_analyze_max_mixed_skips_witnesses(capsys):
     report = _run_json(capsys, ["analyze", "max_mixed", *FAST])
     assert report["edge"]["verdict"] == "not edge"

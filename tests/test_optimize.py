@@ -324,31 +324,69 @@ def test_seeds_draw_different_starts():
     from pptedge.optimize import _starts
 
     for dim, rank in ((3, 1), (3, 2)):
-        draws = {seed: {row.tobytes() for row in _starts(seed, range(200), dim, rank)} for seed in (1, 2, 3, 4, 5)}
+        # the seed enters in 64-bit limbs, so seeds that agree modulo 2**64 draw different starts too
+        seeds = (1, 2, 3, 4, 5, 2**64 + 1, 2**64 + 2, 2**128 + 1, 10**23)
+        draws = {seed: {row.tobytes() for row in _starts(seed, range(200), dim, rank)} for seed in seeds}
         assert all(len(rows) == 200 for rows in draws.values())
         for s in draws:
             for t in draws:
                 assert s == t or draws[s].isdisjoint(draws[t]), (dim, rank, s, t)
 
 
-@pytest.mark.parametrize("dim,rank", [(3, 1), (3, 2), (2, 1)])
+def test_splitmix64_reference_gives_the_published_outputs():
+    # the first outputs of SplitMix64 seeded with 0, as in its reference implementation
+    assert [helpers.splitmix64_output(0, n) for n in (1, 2, 3, 4)] == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+        0xF88BB8A8724C81EC,
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63, 2**64 - 1, 2**64 + 5, 10**23])
+def test_uniforms_equal_the_splitmix64_reference(seed):
+    # bit for bit, and the starts are Box-Muller normals of the reference uniforms, normalized per restart
+    ref = np.array([[helpers.counter_uniform(seed, r, j) for j in range(12)] for r in range(3, 14)])
+    assert optimize._uniforms(seed, range(3, 14), 12).tobytes() == ref.tobytes()
+    u = ref.reshape(-1, 2, 3, 2)
+    z = np.sqrt(-2.0 * np.log(u[:, 0])) * (np.cos(2 * np.pi * u[:, 1]) + 1j * np.sin(2 * np.pi * u[:, 1]))
+    expected = z / np.sqrt((np.abs(z) ** 2).sum(axis=(1, 2)))[:, None, None]
+    assert np.abs(optimize._starts(seed, range(3, 14), 3, 2) - expected).max() < 1e-14
+
+
+@pytest.mark.parametrize("dim,rank", [(3, 1), (3, 2), (2, 1), (9, 1)])
 @pytest.mark.parametrize("cap", [7, 33])
 def test_starts_equal_the_per_restart_draws(dim, rank, cap):
-    # the bulk draw reproduces each restart's own stream bit for bit, over every round of a cap that ends mid-round
+    # restart r's start, drawn alone, is bit-identical to its row in every round of a cap that ends mid-round,
+    # and in the whole range at once
     size = optimize._ROUND[rank]
-    for lo in range(0, cap, size):
-        indices = range(lo, min(lo + size, cap))
-        assert optimize._starts(5, indices, dim, rank).tobytes() == helpers.per_restart_starts(5, indices, dim, rank).tobytes()
+    ranges = [range(lo, min(lo + size, cap)) for lo in range(0, cap, size)] + [range(cap), range(1, cap)]
+    for seed in (0, 5, 42, 2**64 + 5, 10**23):
+        for indices in ranges:
+            block = optimize._starts(seed, indices, dim, rank)
+            assert block.shape == (len(indices), dim, rank)
+            for i, r in enumerate(indices):
+                assert optimize._starts(seed, range(r, r + 1), dim, rank)[0].tobytes() == block[i].tobytes()
 
 
 def test_starts_hand_out_fresh_writable_copies():
-    # the see-saw writes into its starts, so a memoized draw must not be handed out itself
-    first = optimize._starts(6, range(10), 3, 2)
-    assert first.flags.writeable
-    first[:] = 0.0
-    second = optimize._starts(6, range(10), 3, 2)
-    assert second.flags.writeable and second is not first
-    assert second.tobytes() == helpers.per_restart_starts(6, range(10), 3, 2).tobytes()
+    # the see-saw writes into its starts
+    assert optimize._starts(6, range(10), 3, 2).flags.writeable
+
+
+@pytest.mark.parametrize("dim,rank", [(3, 1), (3, 2)])
+def test_start_draws_have_uniform_and_gaussian_moments(dim, rank):
+    # 10**5 restarts: their uniforms have mean 1/2 and variance 1/12, and each start is a unit vector whose
+    # 2 dim rank real components have mean 0 and covariance I / (2 dim rank), as for a normalized complex Gaussian
+    n, k = 10**5, 2 * dim * rank
+    u = optimize._uniforms(11, range(n), k)
+    assert 0.0 < u.min() and u.max() < 1.0
+    assert abs(u.mean() - 1 / 2) < 2e-3 and abs(u.var() - 1 / 12) < 1e-3
+    starts = optimize._starts(11, range(n), dim, rank)
+    assert np.abs(np.linalg.norm(starts, axis=(1, 2)) - 1.0).max() < 1e-15
+    x = starts.reshape(n, -1).view(float)
+    assert np.abs(x.mean(axis=0)).max() < 5.0 / np.sqrt(k * n)
+    assert np.abs(np.cov(x, rowvar=False) - np.eye(k) / k).max() < 3e-3
 
 
 def _fused_operators() -> tuple:
@@ -361,7 +399,7 @@ def _fused_operators() -> tuple:
     return (w1.operator, *w2s, _op(helpers.random_hermitian(np.random.default_rng(15), 9)))
 
 
-# At 2 sweeps every objective runs to the cap of 40; at 5 they stop after 4, 2, 4 and 1 rounds, so later
+# At 2 sweeps every objective runs to the cap of 40; at 5 they stop after 3, 1, 4 and 1 rounds, so later
 # rounds batch fewer objectives than the first.
 _FUSED_CONFIGS = {
     "default": SeeSawConfig(),
@@ -379,7 +417,7 @@ def test_fused_schmidt2_search_equals_solo_searches(config):
     assert [pickle.dumps(res) for res in fused] == solo
     assert [pickle.dumps(res) for res in min_schmidt2_expectations(operators[::-1], cfg)] == solo[::-1]
     if config == "restarts_40_max_iter_5":
-        assert [len(res.restart_values) for res in fused] == [40, 20, 40, 10]
+        assert [len(res.restart_values) for res in fused] == [30, 10, 40, 10]
 
 
 def test_fused_schmidt2_search_refuses_before_any_see_saw(monkeypatch):
