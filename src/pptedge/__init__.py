@@ -19,7 +19,7 @@ from .bipartite import (
     schmidt_coefficients,
     validate_density,
 )
-from .catalog import CatalogEntry, ProductVectorFamily
+from .catalog import CatalogEntry
 from .criteria import (
     CriterionReport,
     EdgeCertificate,
@@ -51,7 +51,6 @@ __all__ = [
     "NotApplicableError",
     "OptResult",
     "ProductVector",
-    "ProductVectorFamily",
     "RankTwoFactors",
     "SeeSawConfig",
     "Spectrum",

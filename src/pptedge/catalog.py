@@ -22,8 +22,8 @@ with one basis vector per free parameter. An entry's ``state`` is the
 takes; the exact data serve exact checks.
 
 A :class:`CatalogEntry` is the one record of what is known about its state:
-the exact numerators, the range bases, the product-vector families in the
-two ranges and, computed on first read, the state and the exact ranks.
+the exact numerators, the range bases and, computed on first read, the
+state and the exact ranks.
 Entries are read through :func:`get` or :func:`entries` only. Each is built
 once per process, on first use, from its row of one table of integer data,
 and shared, so the spectra and exact ranks cached on it are also computed
@@ -34,17 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable
 
 import numpy as np
 
 from . import linalg
-from .bipartite import BipartiteOperator, ProductVector, transpose_b
+from .bipartite import BipartiteOperator, transpose_b
 
 __all__ = [
     "CATALOG_NAMES",
     "CatalogEntry",
-    "ProductVectorFamily",
     "entries",
     "get",
 ]
@@ -127,19 +125,12 @@ class CatalogEntry:
     the range of the state and of rho^T_B; reference entries carry ``None``
     there. They are data for exact checks only: ranks and range projectors
     come from the state's spectrum, as for any other state.
-
-    ``range_families`` and ``pt_range_families`` are the known families of
-    product vectors in those two ranges. Only rho_5_5 has any: no product
-    vector in rho_6_6's ranges has its conjugate partner in the other range,
-    so its ranges are checked through their linear constraints instead.
     """
 
     name: str
     exact: np.ndarray
     range_basis: np.ndarray | None = None
     pt_range_basis: np.ndarray | None = None
-    range_families: tuple[ProductVectorFamily, ...] = ()
-    pt_range_families: tuple[ProductVectorFamily, ...] = ()
 
     @property
     def denominator(self) -> int:
@@ -171,112 +162,20 @@ def _integers(rows) -> np.ndarray:
     return out
 
 
-def _integer_entry(name: str, numerator, basis=None, pt_basis=None, families=(), pt_families=()) -> CatalogEntry:
-    """Entry of the integer table ``numerator``, with its range bases and families when given."""
+def _integer_entry(name: str, numerator, basis=None, pt_basis=None) -> CatalogEntry:
+    """Entry of the integer table ``numerator``, with its range bases when given."""
     return CatalogEntry(
         name=name,
         exact=_integers(numerator),
         range_basis=None if basis is None else _integers(basis),
         pt_range_basis=None if pt_basis is None else _integers(pt_basis),
-        range_families=families,
-        pt_range_families=pt_families,
     )
 
 
-# ---------------------------------------------------------------------------
-# Product-vector families inside the ranges
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProductVectorFamily:
-    """Parametrized family of product vectors lying inside one fixed range.
-
-    ``make(*params)`` builds a member from complex parameters, rejecting
-    degenerate parameter choices (those that collapse to the zero vector or
-    divide by zero). ``grid`` holds a few fixed parameter choices.
-    """
-
-    name: str
-    n_params: int
-    grid: tuple[tuple[complex, ...], ...]
-    _build: Callable[..., ProductVector]
-
-    def make(self, *params: complex) -> ProductVector:
-        if len(params) != self.n_params:
-            raise ValueError(f"family {self.name} takes {self.n_params} parameters")
-        return self._build(*params)
-
-
-def _guard_nonzero(value: complex, what: str) -> None:
-    if abs(value) < 1e-6:
-        raise ValueError(f"{what} too close to a degenerate configuration")
-
-
-def _f55_case_1_1(y: complex, z: complex) -> ProductVector:
-    _guard_nonzero(y + z, "y + z")
-    if abs(y) < 1e-9 and abs(z) < 1e-9:
-        raise ValueError("y and z cannot both vanish")
-    return ProductVector(np.array([1.0, 0.0, -z / (y + z)]), np.array([0.0, y, z]))
-
-
-def _f55_case_2_1(v: complex, y: complex) -> ProductVector:
-    _guard_nonzero(v, "v")
-    _guard_nonzero(y, "y")
-    return ProductVector(np.array([0.0, 0.0, v]), np.array([0.0, y, -y]))
-
-
-def _f55_case_2_2_1(t: complex, x: complex) -> ProductVector:
-    _guard_nonzero(t, "t")
-    _guard_nonzero(x, "x")
-    return ProductVector(np.array([0.0, t, 0.0]), np.array([x, 0.0, 0.0]))
-
-
-def _f55pt_case_1_1(t: complex, z: complex) -> ProductVector:
-    _guard_nonzero(t, "t")
-    _guard_nonzero(z, "z")
-    return ProductVector(np.array([0.0, t, t]), np.array([0.0, 0.0, z]))
-
-
-def _f55pt_case_1_2_1(s: complex, z: complex) -> ProductVector:
-    _guard_nonzero(s, "s")
-    _guard_nonzero(z, "z")
-    return ProductVector(np.array([s, 0.0, 0.0]), np.array([0.0, -2.0 * z, z]))
-
-
-def _f55pt_case_1_2_2(s: complex, y: complex) -> ProductVector:
-    _guard_nonzero(s, "s")
-    _guard_nonzero(y, "y")
-    return ProductVector(np.array([-s, 0.0, s]), np.array([0.0, y, -y]))
-
-
-def _f55pt_case_2(t: complex, v: complex, x: complex) -> ProductVector:
-    # constraint (v - t) z = (v + t) x pins z once t, v, x are chosen
-    _guard_nonzero(v - t, "v - t")
-    _guard_nonzero(x, "x")
-    z = (v + t) * x / (v - t)
-    return ProductVector(np.array([0.0, t, v]), np.array([x, 0.0, z]))
-
-
-# the product-vector families in rho_5_5's range and in its PT range
-_PRODUCTS_5_5 = (
-    ProductVectorFamily("case_1_1", 2, ((1, 1), (1, 2), (2, -1), (1j, 1)), _f55_case_1_1),
-    ProductVectorFamily("case_2_1", 2, ((1, 1), (1, 1j), (-2, 3)), _f55_case_2_1),
-    ProductVectorFamily("case_2_2_1", 2, ((1, 1), (1j, 2), (3, -1)), _f55_case_2_2_1),
-)
-
-_PT_PRODUCTS_5_5 = (
-    ProductVectorFamily("case_1_1", 2, ((1, 1), (1, 1j), (2, -1)), _f55pt_case_1_1),
-    ProductVectorFamily("case_1_2_1", 2, ((1, 1), (1, -1), (1j, 2)), _f55pt_case_1_2_1),
-    ProductVectorFamily("case_1_2_2", 2, ((1, 1), (1, 1j), (-1, 2)), _f55pt_case_1_2_2),
-    ProductVectorFamily("case_2", 3, ((1, 2, 1), (1, 1j, 1), (2, -1, 1j)), _f55pt_case_2),
-)
-
-
-# name -> (numerator, range basis, rho^T_B range basis, range families, rho^T_B range families),
-# in catalog order; a reference state has only its numerator
+# name -> (numerator, range basis, rho^T_B range basis), in catalog order;
+# a reference state has only its numerator
 _TABLES = {
-    "rho_5_5": (_RHO_5_5_NUM, _RANGE_BASIS_5_5, _PT_RANGE_BASIS_5_5, _PRODUCTS_5_5, _PT_PRODUCTS_5_5),
+    "rho_5_5": (_RHO_5_5_NUM, _RANGE_BASIS_5_5, _PT_RANGE_BASIS_5_5),
     "rho_6_6": (_RHO_6_6_NUM, _RANGE_BASIS_6_6, _PT_RANGE_BASIS_6_6),
     "max_mixed": (np.eye(9, dtype=np.int64),),
     # the projector onto |00> + |11> + |22>

@@ -54,6 +54,7 @@ optimality certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable
@@ -83,7 +84,8 @@ class SeeSawConfig:
     unextrapolated factor) below which a restart counts as converged; an
     extrapolated sweep that lowers the value by less makes the next sweep
     plain. It is also the floor of the tolerance within which restarts count
-    as reaching the best value. ``seed`` is a nonnegative integer.
+    as reaching the best value; it must be finite. ``seed`` is a nonnegative
+    integer; ``bool`` is not accepted as an integer.
     """
 
     restarts: int = 200
@@ -94,10 +96,10 @@ class SeeSawConfig:
     def __post_init__(self) -> None:
         for name, low in (("restarts", 1), ("max_iter", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < low:
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not self.conv_tol > 0.0:
-            raise ValueError("conv_tol must be > 0")
+        if not 0.0 < self.conv_tol < math.inf:
+            raise ValueError("conv_tol must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -87,19 +87,6 @@ def exact_row_space_projector(rows) -> np.ndarray:
     return fractions(rows).T @ exact_coordinate_map(rows)
 
 
-def family_members(family, n: int, seed: int) -> list:
-    """``n`` members of a product-vector family: its fixed grid first, then seeded complex draws."""
-    out = [family.make(*params) for params in family.grid[:n]]
-    rng = np.random.default_rng(seed)
-    while len(out) < n:
-        params = tuple(complex(x, y) for x, y in rng.standard_normal((family.n_params, 2)))
-        try:
-            out.append(family.make(*params))
-        except (ValueError, ZeroDivisionError):
-            continue  # degenerate draw, next one
-    return out
-
-
 def row_space_projector(rows) -> np.ndarray:
     """Float copy of :func:`exact_row_space_projector`, for residual checks against real integer rows."""
     return exact_row_space_projector(rows).astype(float)

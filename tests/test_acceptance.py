@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import families
 import helpers
 from conftest import (
     EDGE_MIN_5_5,
@@ -103,10 +104,10 @@ def test_criterion_04_realignment_violation(entries):
 def test_criterion_05_range_fixtures(entries):
     r55, r66 = entries
     ok = True
-    for families, basis in ((r55.range_families, r55.range_basis), (r55.pt_range_families, r55.pt_range_basis)):
+    for table, basis in ((families.RANGE, r55.range_basis), (families.PT_RANGE, r55.pt_range_basis)):
         p = helpers.row_space_projector(basis)
-        for family in families:
-            residuals = [linalg.residual_norm(pv.tensor(), p) for pv in helpers.family_members(family, 100, seed=17)]
+        for family in table.values():
+            residuals = [linalg.residual_norm(pv.tensor(), p) for pv in families.members(family, 100, seed=17)]
             ok &= max(residuals) < 1e-10
     for entry in (r55, r66):
         p_basis = helpers.row_space_projector(entry.range_basis)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import families
 import helpers
 from conftest import PT_5_5_NUM, PT_6_6_NUM
 from pptedge import catalog, linalg
@@ -103,17 +104,15 @@ def test_first_basis_vector_orthogonal_to_5_5_range(rho55):
     [("rho_5_5", "rho"), ("rho_5_5_pt", "pt")],
 )
 def test_families_lie_in_their_ranges(rho55, range_name, which):
-    families, basis = (
-        (rho55.range_families, rho55.range_basis) if which == "rho" else (rho55.pt_range_families, rho55.pt_range_basis)
-    )
+    table, basis = (families.RANGE, rho55.range_basis) if which == "rho" else (families.PT_RANGE, rho55.pt_range_basis)
     p = helpers.row_space_projector(basis)
-    for family in families:
-        for pv in helpers.family_members(family, 100, seed=3):
-            assert linalg.residual_norm(pv.tensor(), p) < 1e-10, (range_name, family.name)
+    for name, family in table.items():
+        for pv in families.members(family, 100, seed=3):
+            assert linalg.residual_norm(pv.tensor(), p) < 1e-10, (range_name, name)
 
 
 def test_family_case_1_1_spec_point(rho55):
-    pv = rho55.range_families[0].make(1.0, 1.0)
+    pv = families.RANGE["case_1_1"][0](1.0, 1.0)
     expect_a = np.array([1.0, 0.0, -0.5])
     expect_b = np.array([0.0, 1.0, 1.0])
     assert np.allclose(pv.a, expect_a / np.linalg.norm(expect_a))
@@ -122,8 +121,7 @@ def test_family_case_1_1_spec_point(rho55):
 
 
 def test_family_pt_case_1_2_1_spec_point(rho55):
-    family = next(f for f in rho55.pt_range_families if f.name == "case_1_2_1")
-    pv = family.make(1.0, 1.0)
+    pv = families.PT_RANGE["case_1_2_1"][0](1.0, 1.0)
     assert np.allclose(pv.a, [1.0, 0.0, 0.0])
     # compare up to the construction's phase normalization
     expect_b = np.array([0.0, -2.0, 1.0]) / np.sqrt(5.0)
@@ -131,17 +129,15 @@ def test_family_pt_case_1_2_1_spec_point(rho55):
     assert linalg.residual_norm(pv.tensor(), helpers.row_space_projector(rho55.pt_range_basis)) < 1e-12
 
 
-def test_family_case_2_2_1_spec_point(rho55):
-    family = next(f for f in rho55.range_families if f.name == "case_2_2_1")
-    pv = family.make(1.0, 1.0)
+def test_family_case_2_2_1_spec_point():
+    pv = families.RANGE["case_2_2_1"][0](1.0, 1.0)
     assert np.allclose(pv.a, [0.0, 1.0, 0.0])
     assert np.allclose(pv.b, [1.0, 0.0, 0.0])
 
 
-def test_family_pt_case_2_constraint(rho55):
-    family = next(f for f in rho55.pt_range_families if f.name == "case_2")
+def test_family_pt_case_2_constraint():
     t, v, x = 1.0 + 0.5j, -2.0 + 1.0j, 0.7 - 0.2j
-    pv = family.make(t, v, x)
+    pv = families.PT_RANGE["case_2"][0](t, v, x)
     # b is normalized and phase-rotated, so compare the scale-free ratio z / x
     z_over_x = pv.b[2] / pv.b[0]
     assert abs(z_over_x - (v + t) / (v - t)) < 1e-12
@@ -149,25 +145,10 @@ def test_family_pt_case_2_constraint(rho55):
     assert abs(ratio_a - v / t) < 1e-12
 
 
-def test_family_degenerate_parameters_rejected(rho55):
-    with pytest.raises(ValueError):
-        rho55.range_families[0].make(1.0, -1.0)  # y + z = 0
-    with pytest.raises(ValueError):
-        rho55.pt_range_families[3].make(1.0, 1.0, 1.0)  # v = t
-    with pytest.raises(ValueError):
-        rho55.range_families[0].make(1.0)  # wrong arity
-
-
-def test_every_entry_carries_its_range_families():
-    # only rho_5_5's ranges hold known families; rho_6_6's hold no product vector with a partner
-    counts = {e.name: (len(e.range_families), len(e.pt_range_families)) for e in catalog.entries()}
-    assert counts == {name: (3, 4) if name == "rho_5_5" else (0, 0) for name in catalog.CATALOG_NAMES}
-
-
-def test_family_samples_deterministic(rho55):
-    family = rho55.range_families[0]
-    first = helpers.family_members(family, 20, seed=5)
-    second = helpers.family_members(family, 20, seed=5)
+def test_family_samples_deterministic():
+    family = families.RANGE["case_1_1"]
+    first = families.members(family, 20, seed=5)
+    second = families.members(family, 20, seed=5)
     for p, q in zip(first, second):
         assert np.array_equal(p.a, q.a) and np.array_equal(p.b, q.b)
 
@@ -222,11 +203,8 @@ def test_a_catalog_build_draws_no_random_numbers():
 
 
 def _entry_arrays(entry: catalog.CatalogEntry) -> list[np.ndarray]:
-    out = [entry.state.matrix]
-    for f in dataclasses.fields(entry):
-        value = getattr(entry, f.name)
-        out.extend(v for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, np.ndarray))
-    return out
+    fields = (getattr(entry, f.name) for f in dataclasses.fields(entry))
+    return [entry.state.matrix, *(v for v in fields if isinstance(v, np.ndarray))]
 
 
 def test_get_is_cached_and_every_entry_array_is_read_only():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import families
 import helpers
 from conftest import EDGE_MIN_5_5, EDGE_MIN_6_6, TRACE_NORM_5_5, TRACE_NORM_6_6
 from pptedge import catalog, cli, linalg
@@ -94,12 +95,12 @@ def test_edge_objective_orthogonal_pair_is_two(rho55):
 
 
 def test_family_vectors_are_in_range_but_partners_are_not(rho55):
-    for family in rho55.range_families:
-        for pv in helpers.family_members(family, 25, seed=8):
+    for name, family in families.RANGE.items():
+        for pv in families.members(family, 25, seed=8):
             in_range = linalg.residual_norm(pv.tensor(), helpers.row_space_projector(rho55.range_basis))
             assert in_range**2 < 1e-10
             total = _edge_expectation(rho55.state, pv.a, pv.b)
-            assert total > 1e-6, family.name
+            assert total > 1e-6, name
 
 
 def test_certify_edge_catalog(rho55, rho66, fast_cfg):

@@ -101,5 +101,5 @@ def test_groebner_proof_refuses_a_product_vector_added_to_both_ranges(rho55):
 
 
 def test_groebner_proof_needs_the_pt_range_equations(rho55):
-    # the range alone holds product vectors (the catalog's families), so without K2 the proof must fail
+    # the range alone holds product vectors (those of tests/families.py), so without K2 the proof must fail
     assert not _edge_proved(_kernel_rows(rho55.range_basis), [])

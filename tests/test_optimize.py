@@ -211,14 +211,21 @@ def test_config_validation():
         SeeSawConfig(max_iter=0)
     with pytest.raises(ValueError):
         SeeSawConfig(conv_tol=0.0)
+    # an infinite tolerance stops every restart within 3 sweeps; the command line rejects it too
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="conv_tol"):
+            SeeSawConfig(conv_tol=bad)
 
 
 @pytest.mark.parametrize(
     "field,value",
-    [("seed", -1), ("seed", 1.5), ("seed", "7"), ("restarts", 2.5), ("max_iter", 2.5)],
+    [
+        ("seed", -1), ("seed", 1.5), ("seed", "7"), ("restarts", 2.5), ("max_iter", 2.5),
+        ("restarts", True), ("max_iter", True), ("seed", False),
+    ],
 )
 def test_config_rejects_bad_seed_and_counts(field, value):
-    # each of these failed only later, at the first draw or inside range()
+    # each of these failed only later, at the first draw or inside range(), or (a bool is an Integral) ran as 0 or 1
     with pytest.raises(ValueError, match=field):
         SeeSawConfig(**{field: value})
 
