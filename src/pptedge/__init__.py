@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .bipartite import (
     BipartiteOperator,
-    InvalidStateError,
     ProductVector,
     realign,
     schmidt_coefficients,
@@ -28,7 +27,7 @@ from .criteria import (
     is_ppt,
     realignment_criterion,
 )
-from .exceptions import MatrixFileError, NotApplicableError
+from .exceptions import InvalidStateError, MatrixFileError, NotApplicableError
 from .linalg import Spectrum, exact_rank, residual_norm
 from .optimize import (
     OptResult,

@@ -18,7 +18,6 @@ from .exceptions import InvalidStateError, NotApplicableError
 
 __all__ = [
     "BipartiteOperator",
-    "InvalidStateError",
     "ProductVector",
     "realign",
     "schmidt_coefficients",
@@ -135,14 +134,6 @@ class ProductVector:
             v = linalg.phase_fix(v / n)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-
-    @property
-    def dim_a(self) -> int:
-        return self.a.size
-
-    @property
-    def dim_b(self) -> int:
-        return self.b.size
 
     def tensor(self) -> np.ndarray:
         """Composite vector with component (i, k) = a_i * b_k; unit norm."""

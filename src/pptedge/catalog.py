@@ -118,19 +118,27 @@ _SAMPLE_PAIRS = (
 class CatalogEntry:
     """A named state together with everything known about it exactly.
 
-    ``exact`` holds the integer numerator matrix, a read-only ``int64``
-    array whose trace is the common ``denominator``, and ``state`` is
-    ``exact / denominator``, built on first read. ``range_basis`` and
-    ``pt_range_basis`` are read-only ``int64`` (k x 9) arrays whose rows span
-    the range of the state and of rho^T_B; reference entries carry ``None``
-    there. They are data for exact checks only: ranks and range projectors
-    come from the state's spectrum, as for any other state.
+    ``exact`` holds the integer numerator matrix, whose trace is the common
+    ``denominator``, and ``state`` is ``exact / denominator``, built on first
+    read. ``range_basis`` and ``pt_range_basis`` are (k x 9) integer arrays
+    whose rows span the range of the state and of rho^T_B; reference entries
+    carry ``None`` there. They are data for exact checks only: ranks and
+    range projectors come from the state's spectrum, as for any other state.
+    Construction copies each given table into a read-only ``int64`` array.
     """
 
     name: str
     exact: np.ndarray
     range_basis: np.ndarray | None = None
     pt_range_basis: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for attr in ("exact", "range_basis", "pt_range_basis"):
+            rows = getattr(self, attr)
+            if rows is not None:
+                rows = np.array(rows, dtype=np.int64)
+                rows.setflags(write=False)
+                object.__setattr__(self, attr, rows)
 
     @property
     def denominator(self) -> int:
@@ -155,23 +163,6 @@ def _product_sum(pairs) -> np.ndarray:
     return v.T @ v
 
 
-def _integers(rows) -> np.ndarray:
-    """Read-only ``int64`` array of integer rows."""
-    out = np.array(rows, dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
-def _integer_entry(name: str, numerator, basis=None, pt_basis=None) -> CatalogEntry:
-    """Entry of the integer table ``numerator``, with its range bases when given."""
-    return CatalogEntry(
-        name=name,
-        exact=_integers(numerator),
-        range_basis=None if basis is None else _integers(basis),
-        pt_range_basis=None if pt_basis is None else _integers(pt_basis),
-    )
-
-
 # name -> (numerator, range basis, rho^T_B range basis), in catalog order;
 # a reference state has only its numerator
 _TABLES = {
@@ -187,7 +178,7 @@ CATALOG_NAMES = tuple(_TABLES)
 
 @cache
 def _built(name: str) -> CatalogEntry:
-    return _integer_entry(name, *_TABLES[name])
+    return CatalogEntry(name, *_TABLES[name])
 
 
 def entries() -> tuple[CatalogEntry, ...]:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra on small matrices, plus exact rational rank.
+"""Dense complex linear algebra on small matrices, plus exact integer rank.
 
 All numeric routines work on plain ``complex128`` numpy arrays at the scale
 used in this package (at most a few dozen rows). The package's one phase
@@ -17,8 +17,6 @@ elimination over Python integers and never rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -56,15 +54,6 @@ def is_hermitian(m) -> bool:
         return False
     scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
     return float(np.abs(a - a.conj().T).max()) <= HERMITIAN_ATOL * scale if a.size else True
-
-
-def _require_hermitian(m, what: str = "matrix") -> np.ndarray:
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {a.shape}")
-    if not is_hermitian(a):
-        raise ValueError(f"{what} must be Hermitian within {HERMITIAN_ATOL}")
-    return a
 
 
 def phase_fix(v: np.ndarray) -> np.ndarray:
@@ -109,7 +98,12 @@ class Spectrum:
     @classmethod
     def of(cls, m) -> "Spectrum":
         """One ``eigh`` of a square Hermitian matrix; anything else raises ``ValueError``."""
-        w, v = np.linalg.eigh(_require_hermitian(m))
+        a = _as_matrix(m)
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {a.shape}")
+        if not is_hermitian(a):
+            raise ValueError(f"matrix must be Hermitian within {HERMITIAN_ATOL}")
+        w, v = np.linalg.eigh(a)
         w.setflags(write=False)
         v.setflags(write=False)
         return cls(w, v)
@@ -139,35 +133,28 @@ def residual_norm(vec, projector: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational arithmetic
+# Exact integer arithmetic
 # ---------------------------------------------------------------------------
 
 
-def _rational(x) -> Fraction:
-    if not isinstance(x, (int, Fraction)):
-        raise ValueError(f"exact rank takes int or Fraction entries, got {type(x).__name__}")
-    return Fraction(x)
-
-
 def exact_rank(m) -> int:
-    """Rank over the rationals via fraction-free Bareiss elimination.
+    """Rank of an integer matrix over the rationals, via fraction-free Bareiss elimination.
 
-    Accepts any nested sequence or integer array of ints/Fractions; any
-    other entry, such as a float or a complex number, and rows of unequal
-    length raise ``ValueError``. Each row is scaled to integers first;
-    elimination then stays in Python integers, with every interior division
-    exact by the Bareiss identity.
+    Accepts any nested sequence or integer array of ints; any other entry,
+    such as a float, a complex number or an exact rational, and rows of
+    unequal length raise ``ValueError``. Elimination stays in Python integers, with
+    every interior division exact by the Bareiss identity.
     """
-    # numpy integers convert to Fraction several times slower than Python ints
-    rows = [[_rational(x) for x in row] for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
-    if not rows:
+    # Python ints, not numpy scalars: the products below must not overflow
+    work = [list(row) for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
+    for row in work:
+        for x in row:
+            if not isinstance(x, int):
+                raise ValueError(f"exact rank takes int entries, got {type(x).__name__}")
+    if not work:
         return 0
-    if any(len(row) != len(rows[0]) for row in rows):
+    if any(len(row) != len(work[0]) for row in work):
         raise ValueError("rows have inconsistent lengths")
-    work: list[list[int]] = []
-    for row in rows:
-        den = lcm(*(f.denominator for f in row)) if row else 1
-        work.append([f.numerator * (den // f.denominator) for f in row])
     n_rows, n_cols = len(work), len(work[0])
     rank = 0
     prev = 1

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -84,8 +84,8 @@ class SeeSawConfig:
     unextrapolated factor) below which a restart counts as converged; an
     extrapolated sweep that lowers the value by less makes the next sweep
     plain. It is also the floor of the tolerance within which restarts count
-    as reaching the best value; it must be finite. ``seed`` is a nonnegative
-    integer; ``bool`` is not accepted as an integer.
+    as reaching the best value; it must be a finite real > 0. ``seed`` is a
+    nonnegative integer. No field accepts a ``bool``.
     """
 
     restarts: int = 200
@@ -98,8 +98,9 @@ class SeeSawConfig:
             value = getattr(self, name)
             if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not 0.0 < self.conv_tol < math.inf:
-            raise ValueError("conv_tol must be finite and > 0")
+        tol = self.conv_tol
+        if not isinstance(tol, Real) or isinstance(tol, bool) or not 0.0 < tol < math.inf:
+            raise ValueError(f"conv_tol must be a finite real > 0, got {tol!r}")
 
 
 @dataclass(frozen=True)

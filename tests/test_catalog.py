@@ -219,6 +219,15 @@ def test_get_is_cached_and_every_entry_array_is_read_only():
     assert all(e is catalog.get(e.name) for e in catalog.entries())
 
 
+def test_a_directly_built_entry_holds_read_only_int64_arrays():
+    # the entry keeps this contract itself, so an entry built outside the catalog's table has it too
+    basis = np.array([[1]], dtype=np.int32)
+    entry = catalog.CatalogEntry("x", [[1]], range_basis=basis)
+    for arr in (entry.exact, entry.range_basis):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert entry.pt_range_basis is None and basis.flags.writeable
+
+
 def test_every_accessor_returns_the_one_cached_build(monkeypatch):
     # a fresh, counted cache, so this test sees the builds it triggers
     builds = []

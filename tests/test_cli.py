@@ -104,7 +104,8 @@ def test_restart_median_is_np_median_bit_for_bit():
 
 
 def test_a_fresh_analyze_imports_neither_numpy_random_nor_numpy_ma():
-    # the starts are plain uint64 arithmetic and the restart median a sort; -X importtime lists every module imported
+    # the starts are plain uint64 arithmetic, the restart median a sort and the exact ranks integer elimination;
+    # -X importtime lists every module imported
     src = str(Path(catalog.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     argv = [sys.executable, "-X", "importtime", "-m", "pptedge", "analyze", "rho_5_5"]
@@ -112,7 +113,7 @@ def test_a_fresh_analyze_imports_neither_numpy_random_nor_numpy_ma():
     assert done.returncode == 0, done.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
     assert "numpy.linalg" in imported and json.loads(done.stdout)["edge"]["restarts_run"] == 25
-    assert not {"numpy.random", "numpy.ma"} & imported
+    assert not {"numpy.random", "numpy.ma", "fractions", "decimal"} & imported
 
 
 def test_analyze_max_mixed_skips_witnesses(capsys):

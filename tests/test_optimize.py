@@ -212,9 +212,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SeeSawConfig(conv_tol=0.0)
     # an infinite tolerance stops every restart within 3 sweeps; the command line rejects it too
-    for bad in (float("inf"), float("nan")):
+    # a non-real would raise a bare TypeError from the comparison, and a bool (a Real) would run as 1.0
+    for bad in (float("inf"), float("nan"), "1", None, 1j, True):
         with pytest.raises(ValueError, match="conv_tol"):
             SeeSawConfig(conv_tol=bad)
+    # any other positive finite real stays accepted
+    assert [SeeSawConfig(conv_tol=ok).conv_tol for ok in (1, np.float32(0.5))] == [1, 0.5]
 
 
 @pytest.mark.parametrize(
